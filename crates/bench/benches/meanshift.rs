@@ -1,5 +1,6 @@
 //! Criterion: Mean Shift clustering cost vs segment count, plus the
-//! k-means/DBSCAN alternatives for context.
+//! k-means/DBSCAN alternatives for context, and checkpoint-shaped inputs
+//! where most flat-kernel neighbourhoods cover the whole set.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mosaic_clustering::dbscan::Dbscan;
@@ -20,6 +21,13 @@ fn points(n: usize) -> Vec<[f64; 2]> {
         .collect()
 }
 
+/// Checkpoint-shaped features: every step writes the same volume, and the
+/// op durations spread over about twice the bandwidth `h`.
+fn checkpoint_points(n: usize, h: f64) -> Vec<[f64; 2]> {
+    let mut rng = ChaCha8Rng::seed_from_u64(3);
+    (0..n).map(|_| [1.0 + rng.gen_range(0.0..2.0 * h), 8.5]).collect()
+}
+
 fn bench_clustering(c: &mut Criterion) {
     let mut group = c.benchmark_group("clustering");
     for n in [32usize, 128, 512, 2048] {
@@ -37,6 +45,13 @@ fn bench_clustering(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("dbscan", n), &pts, |b, pts| {
             b.iter(|| Dbscan::new(0.15, 2).fit(black_box(pts)))
+        });
+    }
+    for n in [256usize, 512] {
+        let pts = checkpoint_points(n, 0.15);
+        group.throughput(Throughput::Elements(n as u64));
+        group.bench_with_input(BenchmarkId::new("meanshift_checkpoint_flat", n), &pts, |b, pts| {
+            b.iter(|| MeanShift::new(0.15).fit(black_box(pts)))
         });
     }
     group.finish();

@@ -6,12 +6,37 @@
 //! ascends the kernel density estimate by repeatedly moving to the
 //! kernel-weighted mean of its neighbourhood, and points whose ascents
 //! converge to the same mode form one cluster. It is exact (no binning or
-//! seeding heuristics), deterministic, and `O(n² · iterations)` — segment
-//! counts per trace are small enough (tens to a few thousands) that this is
-//! the right trade-off.
+//! seeding heuristics) and deterministic. A plain step scans all `n`
+//! points, so the worst case stays `O(n² · iterations)`; two shortcuts skip
+//! scans whose result is already known, without changing a single bit of
+//! the output:
+//!
+//! * **Covering ball (flat kernel).** One `O(n)` pre-pass per
+//!   [`MeanShift::fit`] records the per-axis bounding box `[lo, hi]` and
+//!   the flat mean of all points, summed in index order with exactly the
+//!   operations a step uses. Before a step, the squared distance from the
+//!   position to the farthest box corner is computed with [`dist2`]. If it
+//!   is within `h²`, the step would include every point with weight 1.0 in
+//!   index order, so its result *is* the cached mean. This is exact, not
+//!   approximate, because IEEE rounding is monotone: for `lo ≤ p ≤ hi` on
+//!   an axis, `fl(pos − p)` lies between `fl(pos − hi)` and `fl(pos − lo)`,
+//!   so its square is at most the corner's square, and `fl(acc + s)` never
+//!   decreases when `acc` or `s` grows. Hence the computed `dist2(pos, p)`
+//!   is at most the computed corner distance for every point. The pre-pass
+//!   runs only when every coordinate is finite; otherwise every step scans.
+//! * **Step memo (both kernels).** A step is a pure function of its
+//!   position, so within one `fit` its result is cached under the
+//!   position's bit pattern. Ascents that land on an already-visited
+//!   position (many do: every ascent that covers the whole set next steps
+//!   from the same global mean) cost a lookup instead of a scan.
+//!
+//! Checkpoint traffic is where this pays: a trace writes the same volume
+//! every step, so its features are effectively one-dimensional and most
+//! neighbourhoods hold the whole set.
 
 use crate::point::{dist, dist2, Clustering};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Kernel profile used to weight neighbourhood points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -77,7 +102,8 @@ impl MeanShift {
     }
 
     /// One mean-shift step from `pos`: the kernel-weighted mean of the
-    /// points in range, or `None` if the neighbourhood is empty.
+    /// points in range, or `None` if the neighbourhood is empty. The
+    /// shortcuts in [`Seeker::step`] must return exactly this.
     fn step<const D: usize>(&self, pos: &[f64; D], points: &[[f64; D]]) -> Option<[f64; D]> {
         let h2 = self.bandwidth * self.bandwidth;
         // Gaussian support truncated at 3h: weights beyond are < e^-4.5.
@@ -113,7 +139,9 @@ impl MeanShift {
     /// Run Mean Shift on `points`.
     ///
     /// Returns one label per point plus the converged mode of each cluster.
-    /// Empty input yields an empty clustering.
+    /// Empty input yields an empty clustering. The result is bit-identical
+    /// to plain mode seeking with a full scan per step; see the module docs
+    /// for the scans it skips.
     pub fn fit<const D: usize>(&self, points: &[[f64; D]]) -> Clustering<D> {
         if points.is_empty() {
             return Clustering { labels: Vec::new(), centers: Vec::new() };
@@ -121,11 +149,12 @@ impl MeanShift {
         let eps = self.tol * self.bandwidth;
 
         // Mode-seek from every point.
+        let mut seeker = Seeker::new(self, points);
         let mut converged: Vec<[f64; D]> = Vec::with_capacity(points.len());
         for start in points {
             let mut pos = *start;
             for _ in 0..self.max_iter {
-                let Some(next) = self.step(&pos, points) else { break };
+                let Some(next) = seeker.step(&pos) else { break };
                 let moved = dist(&next, &pos);
                 pos = next;
                 if moved < eps {
@@ -190,6 +219,86 @@ impl MeanShift {
         let median = nn[nn.len() / 2].sqrt();
         // All points may coincide; fall back to a nominal scale.
         Some(if median > 0.0 { factor * median } else { factor })
+    }
+}
+
+/// The flat mean of a whole point set and the box that bounds it: the
+/// answer of every flat-kernel step whose ball covers the box.
+struct Cover<const D: usize> {
+    lo: [f64; D],
+    hi: [f64; D],
+    mean: [f64; D],
+}
+
+impl<const D: usize> Cover<D> {
+    /// `None` when `points` is empty or holds a non-finite coordinate.
+    fn new(points: &[[f64; D]]) -> Option<Self> {
+        let first = points.first()?;
+        let (mut lo, mut hi) = (*first, *first);
+        let mut num = [0.0; D];
+        let mut den = 0.0;
+        for p in points {
+            if !p.iter().all(|v| v.is_finite()) {
+                return None;
+            }
+            for (((l, h), n), &v) in lo.iter_mut().zip(&mut hi).zip(&mut num).zip(p) {
+                *l = l.min(v);
+                *h = h.max(v);
+                // Same operations, same order as a flat `step`.
+                *n += 1.0 * v;
+            }
+            den += 1.0;
+        }
+        for v in num.iter_mut() {
+            *v /= den;
+        }
+        Some(Cover { lo, hi, mean: num })
+    }
+
+    /// `true` when every point lies within `range2` of `pos` as [`dist2`]
+    /// computes it: the farthest box corner does.
+    fn covers(&self, pos: &[f64; D], range2: f64) -> bool {
+        let mut corner = [0.0; D];
+        for i in 0..D {
+            corner[i] = if (pos[i] - self.lo[i]).abs() >= (pos[i] - self.hi[i]).abs() {
+                self.lo[i]
+            } else {
+                self.hi[i]
+            };
+        }
+        dist2(pos, &corner) <= range2
+    }
+}
+
+/// Mean Shift steps over one point set, answering each from the covering
+/// ball or the memo before falling back to a full scan.
+struct Seeker<'a, const D: usize> {
+    ms: &'a MeanShift,
+    points: &'a [[f64; D]],
+    /// Present only for the flat kernel over finite points.
+    cover: Option<Cover<D>>,
+    /// Scanned step results keyed on the bits of the start position.
+    memo: BTreeMap<[u64; D], Option<[f64; D]>>,
+}
+
+impl<'a, const D: usize> Seeker<'a, D> {
+    fn new(ms: &'a MeanShift, points: &'a [[f64; D]]) -> Self {
+        let cover = match ms.kernel {
+            Kernel::Flat => Cover::new(points),
+            Kernel::Gaussian => None,
+        };
+        Seeker { ms, points, cover, memo: BTreeMap::new() }
+    }
+
+    /// Exactly `ms.step(pos, points)`.
+    fn step(&mut self, pos: &[f64; D]) -> Option<[f64; D]> {
+        if let Some(cover) = &self.cover {
+            if cover.covers(pos, self.ms.bandwidth * self.ms.bandwidth) {
+                return Some(cover.mean);
+            }
+        }
+        let (ms, points) = (self.ms, self.points);
+        *self.memo.entry(pos.map(f64::to_bits)).or_insert_with(|| ms.step(pos, points))
     }
 }
 

@@ -72,13 +72,24 @@ impl<const D: usize> Clustering<D> {
         self.labels.iter().enumerate().filter_map(|(i, &l)| (l == c).then_some(i)).collect()
     }
 
+    /// Member indices of every cluster, built in one pass over the labels:
+    /// entry `c` equals [`Clustering::members`]`(c)`. Noise is left out.
+    pub fn member_lists(&self) -> Vec<Vec<usize>> {
+        let mut lists = vec![Vec::new(); self.centers.len()];
+        for (i, &l) in self.labels.iter().enumerate() {
+            if let Some(list) = lists.get_mut(l) {
+                list.push(i);
+            }
+        }
+        lists
+    }
+
     /// Iterate clusters as `(center, member indices)`, skipping empty ones.
     pub fn clusters(&self) -> impl Iterator<Item = ([f64; D], Vec<usize>)> + '_ {
-        (0..self.centers.len()).filter_map(move |c| {
-            let m = self.members(c);
-            // lint: allow(panic, "c ranges over 0..centers.len()")
-            (!m.is_empty()).then_some((self.centers[c], m))
-        })
+        self.centers
+            .iter()
+            .zip(self.member_lists())
+            .filter_map(|(&center, m)| (!m.is_empty()).then_some((center, m)))
     }
 }
 
@@ -113,5 +124,20 @@ mod tests {
         assert_eq!(c.members(0), vec![0, 2]);
         let all: Vec<_> = c.clusters().collect();
         assert_eq!(all.len(), 2);
+    }
+
+    #[test]
+    fn member_lists_match_members_and_clusters_skip_empty() {
+        let c = Clustering::<1> {
+            labels: vec![2, 0, Clustering::<1>::NOISE, 2, 0, 2],
+            centers: vec![[0.0], [1.0], [2.0]],
+        };
+        let lists = c.member_lists();
+        assert_eq!(lists, vec![vec![1, 4], vec![], vec![0, 3, 5]]);
+        for (k, list) in lists.iter().enumerate() {
+            assert_eq!(*list, c.members(k));
+        }
+        let all: Vec<_> = c.clusters().collect();
+        assert_eq!(all, vec![([0.0], vec![1, 4]), ([2.0], vec![0, 3, 5])]);
     }
 }

@@ -76,8 +76,7 @@ pub fn profiles(
     min_fraction: f64,
 ) -> Vec<ClusterProfile> {
     let mut out = Vec::new();
-    for c in 0..clustering.n_clusters() {
-        let members = clustering.members(c);
+    for (c, members) in clustering.member_lists().into_iter().enumerate() {
         if members.is_empty() {
             continue;
         }
@@ -108,11 +107,7 @@ pub fn purity(clustering: &Clustering<FEATURE_DIM>, labels: &[String]) -> f64 {
         return 1.0;
     }
     let mut majority_hits = 0usize;
-    for c in 0..clustering.n_clusters() {
-        let members = clustering.members(c);
-        if members.is_empty() {
-            continue;
-        }
+    for (_, members) in clustering.clusters() {
         let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
         for &m in &members {
             *counts.entry(labels[m].as_str()).or_insert(0) += 1;

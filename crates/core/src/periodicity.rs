@@ -79,7 +79,7 @@ fn median_of_sorted(sorted: &[f64]) -> f64 {
         // lint: allow(panic, "mid = len / 2 < len for odd non-empty slices")
         sorted[mid]
     } else {
-        // lint: allow(panic, "even branch: len >= 2 (callers pass non-empty gap lists), so 1 <= mid < len")
+        // lint: allow(panic, "even branch: len >= 2 (detect_periodic clamps clusters to >= 2 members, so gap lists are non-empty), so 1 <= mid < len")
         0.5 * (sorted[mid - 1] + sorted[mid])
     }
 }
@@ -87,9 +87,13 @@ fn median_of_sorted(sorted: &[f64]) -> f64 {
 /// Detect periodic operations among `segments` (which must be sorted by
 /// start time, as [`crate::segment::segment`] produces them).
 ///
-/// Returns patterns sorted by descending occurrence count.
+/// Returns patterns sorted by descending occurrence count. A pattern needs
+/// at least `config.min_periodic_occurrences` members, and never fewer than
+/// two: a period is only defined between two occurrences, and `config` may
+/// not have been validated.
 pub fn detect_periodic(segments: &[Segment], config: &CategorizerConfig) -> Vec<PeriodicPattern> {
-    if segments.len() < config.min_periodic_occurrences {
+    let min_occurrences = config.min_periodic_occurrences.max(2);
+    if segments.len() < min_occurrences {
         return Vec::new();
     }
     let features: Vec<[f64; 2]> = segments.iter().map(op_feature).collect();
@@ -97,7 +101,7 @@ pub fn detect_periodic(segments: &[Segment], config: &CategorizerConfig) -> Vec<
 
     let mut patterns = Vec::new();
     for (_, mut members) in clustering.clusters() {
-        if members.len() < config.min_periodic_occurrences {
+        if members.len() < min_occurrences {
             continue;
         }
         members.sort_unstable();
@@ -296,6 +300,23 @@ mod tests {
         let config = CategorizerConfig { min_periodic_occurrences: 4, ..cfg() };
         assert!(detect_periodic(&train(60.0, 3, 1 << 20, 1.0), &config).is_empty());
         assert_eq!(detect_periodic(&train(60.0, 4, 1 << 20, 1.0), &config).len(), 1);
+    }
+
+    #[test]
+    fn unvalidated_threshold_of_one_skips_singletons_instead_of_panicking() {
+        // Regression: `min_periodic_occurrences: 1` bypasses
+        // `CategorizerConfig::validate`; a one-member cluster then had no
+        // inter-arrival gaps and the median of the empty gap list indexed
+        // out of bounds.
+        let config = CategorizerConfig { min_periodic_occurrences: 1, ..cfg() };
+        let mut segments = train(120.0, 6, 256 << 20, 10.0);
+        segments.push(Segment { start: 5000.0, duration: 10.0, bytes: 100, op_duration: 0.5 });
+        let patterns = detect_periodic(&segments, &config);
+        assert_eq!(patterns, detect_periodic(&segments, &cfg()));
+        assert_eq!(patterns.len(), 1);
+        assert_eq!(patterns[0].occurrences, 6);
+        let lone = train(60.0, 1, 100, 1.0);
+        assert!(detect_periodic(&lone, &config).is_empty());
     }
 
     #[test]
