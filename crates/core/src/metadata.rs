@@ -1,8 +1,8 @@
 //! Metadata-impact characterization (§III-B3c).
 //!
 //! MOSAIC bins the trace's metadata requests (opens, closes, and the seeks
-//! assumed co-located with opens) into one-second buckets and inspects the
-//! per-second request-rate profile:
+//! assumed co-located with opens) into one-second buckets over
+//! `[0, runtime]` and inspects the per-second request-rate profile:
 //!
 //! * `high_spike` — more than 250 requests in a single second, at least
 //!   once (the thresholds derive from mdworkbench measurements of a Lustre
@@ -11,6 +11,17 @@
 //! * `high_density` — at least 5 spikes *and* an average of 50+ requests
 //!   per second across the execution;
 //! * `insignificant_load` — fewer total metadata operations than ranks.
+//!
+//! Only the *occupied* seconds are materialized ([`occupied_seconds`]):
+//! one pass folds runs of events in the same second, and only input out of
+//! time order is sorted and folded again. Characterization therefore costs
+//! `O(m log m)` at worst in the number `m` of metadata events, and nothing
+//! per second of runtime: a 12 h trace with 20 events touches 20 buckets,
+//! and a header claiming 10⁹ s of runtime allocates nothing extra. Every
+//! empty second holds 0 requests, so it never raises the peak and never
+//! reaches a positive spike threshold; only when `spike_requests == 0` does
+//! each empty second count as a spike, and those are added as
+//! `bins - occupied`. Request sums saturate at `u64::MAX` rather than wrap.
 
 use crate::category::MetadataLabel;
 use crate::config::CategorizerConfig;
@@ -40,18 +51,42 @@ impl MetadataResult {
     }
 }
 
-/// Bin metadata events into one-second buckets over `[0, runtime]`.
-pub fn requests_per_second(meta: &[MetaEvent], runtime: f64) -> Vec<u64> {
+/// Number of one-second buckets covering `[0, runtime]` (at least one).
+fn bin_count(runtime: f64) -> usize {
     // lint: allow(cast, "f64-to-usize `as` saturates; NaN and negatives go to 0 and .max(1) floors")
-    let bins = (runtime.ceil() as usize).max(1);
-    let mut hist = vec![0u64; bins];
+    (runtime.ceil() as usize).max(1)
+}
+
+/// Bin metadata events into one-second buckets over `[0, runtime]`,
+/// keeping only the occupied ones: `(second, requests)` pairs in ascending
+/// `second` order, one pair per distinct second. NaN and negative times
+/// land in second 0, times past the runtime in the last second.
+pub fn occupied_seconds(meta: &[MetaEvent], runtime: f64) -> Vec<(usize, u64)> {
+    let last = bin_count(runtime) - 1;
+    let mut pairs = Vec::new();
     for e in meta {
-        // lint: allow(cast, "f64-to-usize `as` saturates; clamped below by max(0.0), above by min(bins - 1)")
-        let b = (e.time.max(0.0) as usize).min(bins - 1);
-        // lint: allow(panic, "b is clamped to bins - 1 and hist.len() == bins >= 1")
-        hist[b] += e.count;
+        // lint: allow(cast, "f64-to-usize `as` saturates; clamped below by max(0.0), above by min(last)")
+        push_folded(&mut pairs, (e.time.max(0.0) as usize).min(last), e.count);
     }
-    hist
+    // Producers sort by time, so the pairs are usually in order already;
+    // but a NaN time sorts last yet bins to 0.
+    if !pairs.is_sorted_by_key(|&(second, _)| second) {
+        let mut runs = std::mem::take(&mut pairs);
+        runs.sort_unstable_by_key(|&(second, _)| second);
+        for (second, count) in runs {
+            push_folded(&mut pairs, second, count);
+        }
+    }
+    pairs
+}
+
+/// Add `count` requests at `second`, merging into the last pair when it
+/// holds the same second.
+fn push_folded(pairs: &mut Vec<(usize, u64)>, second: usize, count: u64) {
+    match pairs.last_mut() {
+        Some(kept) if kept.0 == second => kept.1 = kept.1.saturating_add(count),
+        _ => pairs.push((second, count)),
+    }
 }
 
 /// Characterize the metadata impact of one trace.
@@ -61,10 +96,14 @@ pub fn characterize(
     nprocs: u32,
     config: &CategorizerConfig,
 ) -> MetadataResult {
-    let total_requests: u64 = meta.iter().map(|e| e.count).sum();
-    let hist = requests_per_second(meta, runtime);
-    let peak_rps = hist.iter().copied().max().unwrap_or(0);
-    let spike_count = hist.iter().filter(|&&c| c >= config.spike_requests).count();
+    let total_requests = meta.iter().fold(0u64, |sum, e| sum.saturating_add(e.count));
+    let occupied = occupied_seconds(meta, runtime);
+    let peak_rps = occupied.iter().map(|&(_, c)| c).max().unwrap_or(0);
+    let mut spike_count = occupied.iter().filter(|&&(_, c)| c >= config.spike_requests).count();
+    if config.spike_requests == 0 {
+        // Every empty second holds 0 >= 0 requests.
+        spike_count += bin_count(runtime) - occupied.len();
+    }
     let mean_rps = total_requests as f64 / runtime.max(1.0);
 
     let mut labels = Vec::new();
@@ -148,14 +187,24 @@ mod tests {
     }
 
     #[test]
-    fn histogram_binning() {
-        let hist = requests_per_second(&[ev(0.2, 3), ev(0.8, 2), ev(7.5, 1)], 10.0);
-        assert_eq!(hist.len(), 10);
-        assert_eq!(hist[0], 5);
-        assert_eq!(hist[7], 1);
+    fn occupied_second_binning() {
+        let pairs = occupied_seconds(&[ev(0.2, 3), ev(0.8, 2), ev(7.5, 1)], 10.0);
+        assert_eq!(pairs, vec![(0, 5), (7, 1)]);
         // Events past runtime clamp into the last bin.
-        let hist = requests_per_second(&[ev(99.0, 4)], 10.0);
-        assert_eq!(hist[9], 4);
+        assert_eq!(occupied_seconds(&[ev(99.0, 4)], 10.0), vec![(9, 4)]);
+        // A trailing NaN time folds into second 0 with the leading events.
+        let pairs = occupied_seconds(&[ev(0.5, 1), ev(3.0, 2), ev(f64::NAN, 4)], 10.0);
+        assert_eq!(pairs, vec![(0, 5), (3, 2)]);
+        assert!(occupied_seconds(&[], 10.0).is_empty());
+    }
+
+    #[test]
+    fn zero_spike_threshold_counts_every_empty_second() {
+        let config = CategorizerConfig { spike_requests: 0, ..cfg() };
+        let r = characterize(&[ev(1.0, 0), ev(2.5, 7)], 10.0, 1, &config);
+        assert_eq!(r.spike_count, 10);
+        let r = characterize(&[], 10.0, 1, &config);
+        assert_eq!(r.spike_count, 10);
     }
 
     #[test]

@@ -49,7 +49,8 @@ impl JobHeader {
     /// them.
     #[inline]
     pub fn runtime(&self) -> f64 {
-        (self.end_time - self.start_time) as f64
+        // i128 holds the difference of any two i64s exactly.
+        (i128::from(self.end_time) - i128::from(self.start_time)) as f64
     }
 
     /// Application name: basename of the first token of the executable line.
@@ -75,6 +76,13 @@ mod tests {
     fn runtime_is_end_minus_start() {
         let h = JobHeader::new(1, 2, 3, 100, 400);
         assert_eq!(h.runtime(), 300.0);
+    }
+
+    #[test]
+    fn runtime_spans_the_full_i64_range_without_overflow() {
+        assert_eq!(JobHeader::new(1, 2, 3, i64::MIN, i64::MAX).runtime(), 2f64.powi(64));
+        assert_eq!(JobHeader::new(1, 2, 3, i64::MAX, i64::MIN).runtime(), -(2f64.powi(64)));
+        assert_eq!(JobHeader::new(1, 2, 3, -5, i64::MAX).runtime(), i64::MAX as f64);
     }
 
     #[test]

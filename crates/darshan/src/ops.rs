@@ -214,9 +214,9 @@ impl OperationView {
         self.ops(kind).iter().map(|o| o.bytes).sum()
     }
 
-    /// Total metadata requests.
+    /// Total metadata requests, saturating at `u64::MAX`.
     pub fn total_meta_requests(&self) -> u64 {
-        self.meta.iter().map(|e| e.count).sum()
+        self.meta.iter().fold(0u64, |sum, e| sum.saturating_add(e.count))
     }
 }
 

@@ -429,7 +429,8 @@ impl<'a> TraceView<'a> {
     /// Wallclock runtime in seconds (mirrors [`JobHeader::runtime`]).
     #[inline]
     pub fn runtime(&self) -> f64 {
-        (self.end_time - self.start_time) as f64
+        // i128 holds the difference of any two i64s exactly.
+        (i128::from(self.end_time) - i128::from(self.start_time)) as f64
     }
 
     /// Application name (mirrors [`JobHeader::app_name`]), borrowed.

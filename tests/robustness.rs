@@ -1,11 +1,17 @@
 //! Robustness properties: parsers never panic on hostile input, and the
 //! categorizer satisfies its algebraic invariants on arbitrary views.
 
-use mosaic_core::category::{OpKindTag, TemporalityLabel};
+use mosaic_core::category::{MetadataLabel, OpKindTag, TemporalityLabel};
 use mosaic_core::merge::{merge_all, merge_concurrent};
+use mosaic_core::metadata::{self, MetadataResult};
 use mosaic_core::{Categorizer, CategorizerConfig};
-use mosaic_darshan::ops::{OpKind, Operation, OperationView};
+use mosaic_darshan::counter::{PosixCounter as C, PosixFCounter as F};
+use mosaic_darshan::job::JobHeader;
+use mosaic_darshan::log::{TraceLog, TraceLogBuilder};
+use mosaic_darshan::ops::{MetaEvent, MetaKind, OpKind, Operation, OperationView};
 use mosaic_darshan::{dxt, mdf, text};
+use mosaic_pipeline::executor::{process, PipelineConfig, PipelineResult, RunOutcome};
+use mosaic_pipeline::source::{TraceInput, VecSource};
 use proptest::prelude::*;
 
 // ---- parsers must reject, never panic --------------------------------
@@ -283,11 +289,202 @@ fn regression_non_power_of_two_scale_on_boundary_view() {
 
 #[test]
 fn pipeline_survives_a_source_of_pure_garbage() {
-    use mosaic_pipeline::executor::{process, PipelineConfig};
-    use mosaic_pipeline::source::{ClosureSource, TraceInput};
+    use mosaic_pipeline::source::ClosureSource;
     let source = ClosureSource::new(200, |i| TraceInput::bytes(vec![i as u8; i % 97]));
     let result = process(&source, &PipelineConfig::default());
     assert_eq!(result.funnel.total, 200);
     assert_eq!(result.funnel.format_corrupt, 200);
     assert!(result.outcomes.is_empty());
+}
+
+// ---- metadata: sparse binning against the dense spec ----------------------
+
+/// Executable spec for `metadata::characterize`: one `u64` per second of
+/// runtime, scanned in full. Only usable where the runtime is small enough
+/// to allocate per second, and the counts small enough not to overflow.
+fn reference_characterize(
+    meta: &[MetaEvent],
+    runtime: f64,
+    nprocs: u32,
+    config: &CategorizerConfig,
+) -> MetadataResult {
+    let total_requests: u64 = meta.iter().map(|e| e.count).sum();
+    let bins = (runtime.ceil() as usize).max(1);
+    let mut hist = vec![0u64; bins];
+    for e in meta {
+        hist[(e.time.max(0.0) as usize).min(bins - 1)] += e.count;
+    }
+    let peak_rps = hist.iter().copied().max().unwrap_or(0);
+    let spike_count = hist.iter().filter(|&&c| c >= config.spike_requests).count();
+    let mean_rps = total_requests as f64 / runtime.max(1.0);
+
+    let mut labels = Vec::new();
+    if total_requests < u64::from(nprocs) {
+        labels.push(MetadataLabel::InsignificantLoad);
+        return MetadataResult { labels, total_requests, peak_rps, spike_count, mean_rps };
+    }
+    if peak_rps > config.high_spike_requests {
+        labels.push(MetadataLabel::HighSpike);
+    }
+    if spike_count >= config.min_spikes {
+        labels.push(MetadataLabel::MultipleSpikes);
+        if mean_rps >= config.density_mean_rps {
+            labels.push(MetadataLabel::HighDensity);
+        }
+    }
+    MetadataResult { labels, total_requests, peak_rps, spike_count, mean_rps }
+}
+
+/// Event times: NaN, ±inf, negatives, far past any runtime, and many events
+/// crowded into the first few dozen seconds.
+fn arb_meta_time() -> impl Strategy<Value = f64> {
+    (0u8..10, 0.0f64..1.0, 0u32..40).prop_map(|(pick, frac, sec)| match pick {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => -100.0 * frac,
+        4 => 2e5 + 1e6 * frac,
+        5..=7 => f64::from(sec) + frac,
+        _ => 1.2e5 * frac,
+    })
+}
+
+/// Counts including 0, small bursts around the spike thresholds, and large
+/// values that still cannot overflow a 64-event sum.
+fn arb_meta_count() -> impl Strategy<Value = u64> {
+    (0u8..4, 0u64..1 << 40).prop_map(|(pick, x)| match pick {
+        0 => 0,
+        1 => x % 100,
+        2 => x % 400,
+        _ => x,
+    })
+}
+
+/// Runtimes including 0, negative, NaN, sub-second and up to ~1e5 s.
+fn arb_meta_runtime() -> impl Strategy<Value = f64> {
+    (0u8..10, 0.0f64..1.0).prop_map(|(pick, frac)| match pick {
+        0 => 0.0,
+        1 => -5.0,
+        2 => f64::NAN,
+        3 => 0.5,
+        4 => 100.0 * frac,
+        5 => 40.0,
+        _ => 1e5 * frac,
+    })
+}
+
+fn meta_config(pick: u8) -> CategorizerConfig {
+    let default = CategorizerConfig::default();
+    match pick {
+        0 => CategorizerConfig { spike_requests: 0, ..default },
+        1 => CategorizerConfig { spike_requests: 1, ..default },
+        _ => default,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn sparse_metadata_matches_dense_spec(
+        raw in prop::collection::vec((arb_meta_time(), arb_meta_count()), 0..64),
+        runtime in arb_meta_runtime(),
+        nprocs in 1u32..200,
+        config_pick in 0u8..3,
+        sort_by_time in 0u8..2,
+    ) {
+        let mut meta: Vec<MetaEvent> = raw
+            .into_iter()
+            .map(|(time, count)| MetaEvent { time, kind: MetaKind::Open, count })
+            .collect();
+        if sort_by_time == 1 {
+            // What the producers hand over: sorted, with NaN last.
+            meta.sort_by(|a, b| a.time.total_cmp(&b.time));
+        }
+        let config = meta_config(config_pick);
+        let got = metadata::characterize(&meta, runtime, nprocs, &config);
+        let want = reference_characterize(&meta, runtime, nprocs, &config);
+        prop_assert_eq!(&got.labels, &want.labels);
+        prop_assert_eq!(got.total_requests, want.total_requests);
+        prop_assert_eq!(got.peak_rps, want.peak_rps);
+        prop_assert_eq!(got.spike_count, want.spike_count);
+        prop_assert_eq!(got.mean_rps.to_bits(), want.mean_rps.to_bits());
+    }
+}
+
+// ---- metadata: hostile headers and counts through the pipeline -------------
+
+fn process_one(log: &TraceLog) -> PipelineResult {
+    let input = TraceInput::bytes(mdf::to_bytes(log));
+    process(&VecSource::new(vec![input]), &PipelineConfig::default())
+}
+
+fn only_outcome(result: &PipelineResult) -> &RunOutcome {
+    assert_eq!(result.funnel.total, 1);
+    assert_eq!(result.outcomes.len(), 1, "funnel: {:?}", result.funnel);
+    &result.outcomes[0]
+}
+
+/// A valid header claiming 10⁹ s of runtime once sized a per-second vector
+/// from the wire: 8 GB for one empty trace.
+#[test]
+fn runtime_bomb_header_does_not_allocate_per_second() {
+    let header = || JobHeader::new(1, 2, 3, 0, 1_000_000_000).with_exe("/bin/bomb");
+    let empty = TraceLogBuilder::new(header()).finish();
+    let result = process_one(&empty);
+    let report = &only_outcome(&result).report;
+    assert_eq!(report.metadata.labels, vec![MetadataLabel::InsignificantLoad]);
+    assert_eq!(report.metadata.total_requests, 0);
+    assert_eq!(report.metadata.spike_count, 0);
+
+    let mut builder = TraceLogBuilder::new(header());
+    for (i, t) in [10.0, 10.5, 5e8].into_iter().enumerate() {
+        let r = builder.begin_record(&format!("/in/{i}"), -1);
+        builder.record_mut(r).set(C::Opens, 200).setf(F::OpenStartTimestamp, t);
+    }
+    let result = process_one(&builder.finish());
+    let metadata = &only_outcome(&result).report.metadata;
+    assert_eq!((metadata.total_requests, metadata.peak_rps), (600, 400));
+    assert_eq!(metadata.spike_count, 2);
+    assert_eq!(metadata.labels, vec![MetadataLabel::HighSpike]);
+
+    let events = [MetaEvent { time: 3.0, kind: MetaKind::Open, count: 60 }];
+    for runtime in [f64::INFINITY, 1e300] {
+        let r = metadata::characterize(&events, runtime, 1, &CategorizerConfig::default());
+        assert_eq!((r.peak_rps, r.spike_count), (60, 1));
+        let zero = CategorizerConfig { spike_requests: 0, ..CategorizerConfig::default() };
+        let r = metadata::characterize(&events, runtime, 1, &zero);
+        assert_eq!(r.spike_count, usize::MAX, "every second of a saturated runtime spikes");
+    }
+}
+
+/// `end_time - start_time` over the full `i64` range once overflowed in the
+/// header's runtime (a panic in debug builds, a wrap to -1 s in release).
+#[test]
+fn extreme_header_times_do_not_overflow_runtime() {
+    let header = JobHeader::new(1, 2, 3, i64::MIN, i64::MAX).with_exe("/bin/wide");
+    assert_eq!(header.runtime(), 2f64.powi(64));
+    let result = process_one(&TraceLogBuilder::new(header).finish());
+    let outcome = only_outcome(&result);
+    assert_eq!((outcome.start_time, outcome.end_time), (i64::MIN, i64::MAX));
+    assert_eq!(outcome.report.metadata.labels, vec![MetadataLabel::InsignificantLoad]);
+}
+
+/// Three records each claiming `i64::MAX` opens once overflowed the
+/// metadata request sums.
+#[test]
+fn huge_metadata_counts_saturate() {
+    let mut builder =
+        TraceLogBuilder::new(JobHeader::new(1, 2, 3, 0, 1000).with_exe("/bin/opener"));
+    for i in 0..3 {
+        let r = builder.begin_record(&format!("/in/{i}"), -1);
+        builder.record_mut(r).set(C::Opens, i64::MAX).setf(F::OpenStartTimestamp, 1.0);
+    }
+    let log = builder.finish();
+    assert_eq!(OperationView::from_log(&log).total_meta_requests(), u64::MAX);
+    let result = process_one(&log);
+    let metadata = &only_outcome(&result).report.metadata;
+    assert_eq!((metadata.total_requests, metadata.peak_rps), (u64::MAX, u64::MAX));
+    assert_eq!(metadata.spike_count, 1);
+    assert_eq!(metadata.labels, vec![MetadataLabel::HighSpike]);
 }
