@@ -7,6 +7,7 @@ use mosaic_darshan::counter::PosixCounter as C;
 use mosaic_darshan::counter::PosixFCounter as F;
 use mosaic_darshan::job::JobHeader;
 use mosaic_darshan::log::TraceLogBuilder;
+use mosaic_darshan::view::{validate_view, TraceView};
 use mosaic_darshan::{mdf, text, validate};
 use std::hint::black_box;
 
@@ -40,8 +41,13 @@ fn bench_parse(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("mdf_encode", &tag), &log, |b, log| {
             b.iter(|| mdf::to_bytes(black_box(log)))
         });
+        // The owned decode: `TraceView::parse` + `to_log`.
         group.bench_with_input(BenchmarkId::new("mdf_decode", &tag), &bytes, |b, bytes| {
             b.iter(|| mdf::from_bytes(black_box(bytes)).unwrap())
+        });
+        // The pipeline's byte-fed front end: borrowed parse + validation.
+        group.bench_with_input(BenchmarkId::new("mdf_view_parse", &tag), &bytes, |b, bytes| {
+            b.iter(|| validate_view(&TraceView::parse(black_box(bytes)).unwrap()))
         });
         group.bench_with_input(BenchmarkId::new("text_parse", &tag), &rendered, |b, rendered| {
             b.iter(|| text::parse(black_box(rendered)).unwrap())

@@ -4,7 +4,6 @@
 use crate::category::{Category, OpKindTag};
 use crate::columnar;
 use crate::config::{CategorizerConfig, PeriodicityMethod};
-use crate::merge::merge_all;
 use crate::metadata::{self, MetadataResult};
 use crate::periodicity::{detect_periodic, PeriodicPattern};
 use crate::segment::segment;
@@ -130,52 +129,23 @@ impl Categorizer {
     }
 
     /// Like [`Categorizer::categorize`], but also reports the wall-clock
-    /// split between merging and the rest of the categorization.
+    /// split between merging and the rest of the categorization. The view is
+    /// copied into a local [`columnar::TraceArena`], so row-fed and wire-fed
+    /// traces share one categorization core.
     pub fn categorize_timed(&self, view: &OperationView) -> (TraceReport, CategorizeTimings) {
-        // lint: allow(nondeterminism, "timings feed MetricsReport telemetry only, never ResultSnapshot digests")
-        let started = std::time::Instant::now();
-        let mut merge_nanos = 0u64;
-        let mut categories = BTreeSet::new();
-
-        let read = self.direction(
-            &view.reads,
-            view.runtime,
-            OpKind::Read,
-            &mut categories,
-            &mut merge_nanos,
-        );
-        let write = self.direction(
-            &view.writes,
-            view.runtime,
-            OpKind::Write,
-            &mut categories,
-            &mut merge_nanos,
-        );
-
-        let metadata = metadata::characterize(&view.meta, view.runtime, view.nprocs, &self.config);
-        for label in &metadata.labels {
-            categories.insert(Category::Metadata(*label));
-        }
-
-        let report = TraceReport {
-            categories,
-            read,
-            write,
-            metadata,
-            runtime: view.runtime,
-            nprocs: view.nprocs,
-        };
-        // lint: allow(cast, "elapsed nanoseconds exceed u64 only after ~584 years")
-        let total_nanos = started.elapsed().as_nanos() as u64;
-        let timings = CategorizeTimings { merge_nanos, total_nanos };
-        (report, timings)
+        let mut arena = columnar::TraceArena::default();
+        let trace = &mut arena.trace;
+        trace.runtime = view.runtime;
+        trace.nprocs = view.nprocs;
+        trace.reads.load_ops(&view.reads);
+        trace.writes.load_ops(&view.writes);
+        trace.meta.clone_from(&view.meta);
+        self.categorize_arena_timed(&mut arena)
     }
 
-    /// Categorize a loaded [`columnar::TraceArena`] — the zero-copy
-    /// pipeline's entry point. Produces the same [`TraceReport`] as
-    /// [`Categorizer::categorize_timed`] on the equivalent
-    /// [`OperationView`] (the `zerocopy-vs-owned` oracle pins this), while
-    /// reusing the arena's buffers for merging and materialization.
+    /// Categorize a loaded [`columnar::TraceArena`] — the core every entry
+    /// point lands in. Reuses the arena's buffers for merging and
+    /// materialization.
     pub fn categorize_arena_timed(
         &self,
         arena: &mut columnar::TraceArena,
@@ -187,7 +157,7 @@ impl Categorizer {
         let trace = &arena.trace;
         let scratch = &mut arena.scratch;
 
-        let read = self.direction_columnar(
+        let read = self.direction(
             &trace.reads,
             trace.runtime,
             OpKind::Read,
@@ -195,7 +165,7 @@ impl Categorizer {
             &mut merge_nanos,
             scratch,
         );
-        let write = self.direction_columnar(
+        let write = self.direction(
             &trace.writes,
             trace.runtime,
             OpKind::Write,
@@ -223,38 +193,9 @@ impl Categorizer {
         (report, CategorizeTimings { merge_nanos, total_nanos })
     }
 
+    /// One direction: columnar merge, columnar temporality, then
+    /// segmentation/periodicity on the materialized (short) merged list.
     fn direction(
-        &self,
-        raw: &[Operation],
-        runtime: f64,
-        kind: OpKind,
-        categories: &mut BTreeSet<Category>,
-        merge_nanos: &mut u64,
-    ) -> DirectionReport {
-        let tag = OpKindTag::from(kind);
-        // lint: allow(nondeterminism, "timings feed MetricsReport telemetry only, never ResultSnapshot digests")
-        let merge_started = std::time::Instant::now();
-        let merged = merge_all(raw, runtime, &self.config);
-        // lint: allow(cast, "elapsed nanoseconds exceed u64 only after ~584 years")
-        *merge_nanos += merge_started.elapsed().as_nanos() as u64;
-        let temporality = temporality::characterize(&merged, runtime, &self.config);
-        categories.insert(Category::Temporality { kind: tag, label: temporality.label });
-
-        // Periodicity is only meaningful for significant directions: an
-        // insignificant direction contributes no periodic categories even if
-        // its few tiny operations happen to be evenly spaced.
-        let significant = temporality.label != crate::category::TemporalityLabel::Insignificant;
-        let periodic =
-            if significant { self.detect_periodicity(&merged, runtime) } else { Vec::new() };
-
-        insert_periodic_categories(tag, &periodic, categories, self.config.busy_time_split);
-
-        DirectionReport { merged_ops: merged.len(), raw_ops: raw.len(), temporality, periodic }
-    }
-
-    /// One direction of the arena path: columnar merge, columnar temporality,
-    /// then segmentation/periodicity on the materialized (short) merged list.
-    fn direction_columnar(
         &self,
         raw: &columnar::OpColumns,
         runtime: f64,
@@ -273,6 +214,9 @@ impl Categorizer {
             temporality::characterize_columnar(&scratch.merged, runtime, &self.config);
         categories.insert(Category::Temporality { kind: tag, label: temporality.label });
 
+        // Periodicity is only meaningful for significant directions: an
+        // insignificant direction contributes no periodic categories even if
+        // its few tiny operations happen to be evenly spaced.
         let significant = temporality.label != crate::category::TemporalityLabel::Insignificant;
         let periodic = if significant {
             scratch.merged.materialize(kind, &mut scratch.ops);
@@ -291,8 +235,7 @@ impl Categorizer {
         }
     }
 
-    /// Periodicity detection on one direction's merged operations — shared by
-    /// the row-oriented and columnar paths.
+    /// Periodicity detection on one direction's merged operations.
     fn detect_periodicity(&self, merged: &[Operation], runtime: f64) -> Vec<PeriodicPattern> {
         {
             let segments = segment(merged, runtime);
@@ -335,8 +278,7 @@ impl Categorizer {
     }
 }
 
-/// Insert the periodicity categories a direction's detected patterns imply —
-/// shared by the row-oriented and columnar paths.
+/// Insert the periodicity categories a direction's detected patterns imply.
 fn insert_periodic_categories(
     tag: OpKindTag,
     periodic: &[PeriodicPattern],
@@ -514,8 +456,9 @@ mod tests {
     #[test]
     fn arena_path_matches_view_path() {
         // Build a log whose reads are periodic and whose writes end-load,
-        // run both the owned (view) and columnar (arena) paths, and demand
-        // identical reports — including the periodicity sub-structure.
+        // run it through both front doors — row-fed (validate, delete,
+        // `from_log`) and wire-fed (`TraceView`, `ColumnarTrace::load`) —
+        // and demand identical reports, periodicity sub-structure included.
         use mosaic_darshan::counter::PosixCounter as C;
         use mosaic_darshan::counter::PosixFCounter as F;
         use mosaic_darshan::job::JobHeader;
@@ -548,13 +491,13 @@ mod tests {
         let log = b.finish();
         let bytes = mdf::to_bytes(&log);
 
-        // Owned path.
+        // Row-fed.
         let report = validate::validate(&log);
         let mut sanitized = log.clone();
         validate::delete_invalid(&mut sanitized, &report);
         let (owned, _) = categorizer().categorize_log_timed(&sanitized);
 
-        // Arena path.
+        // Wire-fed.
         let tv = TraceView::parse(&bytes).unwrap();
         let mut arena = columnar::TraceArena::default();
         arena.trace.load(&tv, &validate_view(&tv));

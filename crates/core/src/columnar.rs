@@ -1,25 +1,28 @@
-//! Columnar (struct-of-arrays) interval storage and merging — the zero-copy
-//! hot path's counterpart to [`crate::merge`].
+//! Columnar (struct-of-arrays) interval storage and merging — the one
+//! implementation of the §III-B2 merge passes and of temporality's chunk
+//! apportioning.
 //!
-//! The row-oriented path clones `Vec<Operation>`s at every stage; at corpus
-//! scale the allocator traffic and pointer-chasing dominate parse→merge. This
-//! module keeps one direction's intervals as four parallel vectors
-//! ([`OpColumns`]) inside a reusable per-thread [`TraceArena`], so that
+//! One direction's intervals live as four parallel vectors ([`OpColumns`])
+//! inside a reusable per-thread [`TraceArena`], so that
 //!
 //! * concurrent-overlap merging walks contiguous `starts`/`ends` arrays,
 //! * the quartile-chunk temporality scan streams the same arrays, and
 //! * per-trace allocations collapse to arena `clear()`s that keep capacity.
 //!
-//! **Equivalence contract:** every function here performs bit-identical
-//! arithmetic, in the same order, as its row-oriented twin — the
-//! `zerocopy-vs-owned` differential oracle and the agreement property tests
-//! pin this. The one structural difference is sorting: the owned path
-//! stable-sorts extraction order by `start` ([`OperationView::from_log`])
-//! and then stable-sorts that by `(start, end)` ([`crate::merge::
-//! merge_concurrent`]). Because both sorts are stable and the second key
-//! refines the first, the composition equals a single stable sort of
-//! extraction order by `(start, end)` — which is what
-//! [`merge_concurrent_columnar`] does with one index sort.
+//! Row-oriented callers reach the same code: [`crate::merge`]'s functions
+//! and [`crate::Categorizer::categorize`] load their `Operation`s with
+//! [`OpColumns::load_ops`].
+//!
+//! **Ordering contract:** [`merge_concurrent_columnar`] does one stable
+//! index sort of its input by `(start, end)`. Wire-fed traces arrive in
+//! record-extraction order ([`ColumnarTrace::load`]); row-fed ones are
+//! already stable-sorted by `start` ([`OperationView::from_log`]). Because
+//! `(start, end)` refines `start`, both orders sort to the same sequence,
+//! so the two front doors merge identically. A row-oriented reference spec
+//! in the integration tests (`tests/zerocopy_agreement.rs`) pins the
+//! arithmetic bit for bit.
+//!
+//! [`OperationView::from_log`]: mosaic_darshan::OperationView::from_log
 //!
 //! Arena ownership rule: an arena borrows nothing and owns all its buffers;
 //! a loaded [`ColumnarTrace`] is valid until the next `load`, and anything
@@ -99,33 +102,39 @@ impl OpColumns {
         self.ranks.truncate(len);
     }
 
-    /// Copy operation `src` over operation `dst` (compaction helper).
-    fn copy_within(&mut self, src: usize, dst: usize) {
-        if src == dst {
-            return;
-        }
-        // lint: allow(panic, "callers pass src/dst < len; compaction never reads past the write head")
-        self.starts[dst] = self.starts[src];
-        // lint: allow(panic, "callers pass src/dst < len; compaction never reads past the write head")
-        self.ends[dst] = self.ends[src];
-        // lint: allow(panic, "callers pass src/dst < len; compaction never reads past the write head")
-        self.bytes[dst] = self.bytes[src];
-        // lint: allow(panic, "callers pass src/dst < len; compaction never reads past the write head")
-        self.ranks[dst] = self.ranks[src];
+    /// Operation `i` as `(start, end, bytes, ranks)`.
+    #[inline]
+    fn op(&self, i: usize) -> (f64, f64, u64, u32) {
+        // lint: allow(panic, "callers pass i < len; the four columns share that length")
+        (self.starts[i], self.ends[i], self.bytes[i], self.ranks[i])
     }
 
-    /// Fuse operation `i` of `other` into operation `dst` of `self` —
-    /// interval hull, byte sum, rank sum, the exact arithmetic (and
-    /// argument order, for NaN behaviour) of [`crate::merge`]'s `fuse`.
-    fn fuse_from(&mut self, dst: usize, other: &OpColumns, i: usize) {
-        // lint: allow(panic, "dst < self.len() and i < other.len() by the merge walk's construction")
-        self.starts[dst] = self.starts[dst].min(other.starts[i]);
-        // lint: allow(panic, "dst < self.len() and i < other.len() by the merge walk's construction")
-        self.ends[dst] = self.ends[dst].max(other.ends[i]);
-        // lint: allow(panic, "dst < self.len() and i < other.len() by the merge walk's construction")
-        self.bytes[dst] = self.bytes[dst].saturating_add(other.bytes[i]);
-        // lint: allow(panic, "dst < self.len() and i < other.len() by the merge walk's construction")
-        self.ranks[dst] = self.ranks[dst].saturating_add(other.ranks[i]);
+    /// Overwrite operation `dst` (compaction helper).
+    #[inline]
+    fn set(&mut self, dst: usize, (start, end, bytes, ranks): (f64, f64, u64, u32)) {
+        // lint: allow(panic, "callers pass dst < len; compaction never writes past the read head")
+        self.starts[dst] = start;
+        // lint: allow(panic, "callers pass dst < len; compaction never writes past the read head")
+        self.ends[dst] = end;
+        // lint: allow(panic, "callers pass dst < len; compaction never writes past the read head")
+        self.bytes[dst] = bytes;
+        // lint: allow(panic, "callers pass dst < len; compaction never writes past the read head")
+        self.ranks[dst] = ranks;
+    }
+
+    /// Fuse an operation into operation `dst`: interval hull, byte sum,
+    /// rank sum. The one definition of the merge step's fuse; the
+    /// `min`/`max` receiver order fixes its NaN behaviour.
+    #[inline]
+    fn fuse(&mut self, dst: usize, (start, end, bytes, ranks): (f64, f64, u64, u32)) {
+        // lint: allow(panic, "callers pass dst < len, the last merged operation")
+        self.starts[dst] = self.starts[dst].min(start);
+        // lint: allow(panic, "callers pass dst < len, the last merged operation")
+        self.ends[dst] = self.ends[dst].max(end);
+        // lint: allow(panic, "callers pass dst < len, the last merged operation")
+        self.bytes[dst] = self.bytes[dst].saturating_add(bytes);
+        // lint: allow(panic, "callers pass dst < len, the last merged operation")
+        self.ranks[dst] = self.ranks[dst].saturating_add(ranks);
     }
 
     /// Materialize row-oriented operations (for segmentation/periodicity,
@@ -139,7 +148,9 @@ impl OpColumns {
         }
     }
 
-    /// Load from row-oriented operations (bench + test helper).
+    /// Load from row-oriented operations: how row-fed callers
+    /// ([`crate::merge`], [`crate::Categorizer::categorize`]) reach the
+    /// columnar core.
     pub fn load_ops(&mut self, ops: &[Operation]) {
         self.clear();
         for op in ops {
@@ -288,8 +299,9 @@ impl TraceArena {
 }
 
 /// Concurrent merging on columns: one stable index sort by `(start, end)`,
-/// then the same fuse-or-push walk as [`crate::merge::merge_concurrent`].
-/// The result lands in `scratch.merged`.
+/// then a fuse-or-push walk — an operation that starts at or before the
+/// last merged operation's end (closed intervals) fuses into it. The result
+/// lands in `scratch.merged`.
 pub fn merge_concurrent_columnar(input: &OpColumns, scratch: &mut MergeScratch) {
     scratch.idx.clear();
     scratch.idx.extend(0..input.len());
@@ -299,52 +311,48 @@ pub fn merge_concurrent_columnar(input: &OpColumns, scratch: &mut MergeScratch) 
     });
     scratch.merged.clear();
     for &i in &scratch.idx {
+        let op = input.op(i);
         let n = scratch.merged.len();
-        // lint: allow(panic, "i < input.len(); n - 1 < merged.len() when n > 0")
-        if n > 0 && input.starts[i] <= scratch.merged.ends[n - 1] {
-            scratch.merged.fuse_from(n - 1, input, i);
+        // lint: allow(panic, "n - 1 < merged.len() when n > 0")
+        if n > 0 && op.0 <= scratch.merged.ends[n - 1] {
+            scratch.merged.fuse(n - 1, op);
         } else {
-            // lint: allow(panic, "i < input.len() by construction of idx")
-            scratch.merged.push(input.starts[i], input.ends[i], input.bytes[i], input.ranks[i]);
+            scratch.merged.push(op.0, op.1, op.2, op.3);
         }
     }
 }
 
-/// Neighbor merging on columns, in place: the same gap arithmetic as
-/// [`crate::merge::merge_neighbors`], as a two-pointer compaction.
+/// Neighbor merging on columns, in place, as a two-pointer compaction:
+/// an operation fuses into the previous merged one when the gap between
+/// them is at most `max(neighbor_gap_runtime_frac · runtime,
+/// neighbor_gap_op_frac · duration(previous merged op))`.
+///
+/// Expects concurrent-merged (sorted, non-overlapping) input.
 pub fn merge_neighbors_columnar(cols: &mut OpColumns, runtime: f64, config: &CategorizerConfig) {
     let runtime_gap = config.neighbor_gap_runtime_frac * runtime.max(0.0);
     let mut w = 0usize; // cols[..w] is the merged prefix
     for i in 0..cols.len() {
+        let op = cols.op(i);
         if w == 0 {
-            cols.copy_within(i, 0);
+            cols.set(0, op);
             w = 1;
             continue;
         }
-        // lint: allow(panic, "w >= 1 here and w <= i + 1 <= len; i < len")
-        let gap = cols.starts[i] - cols.ends[w - 1];
-        // lint: allow(panic, "w >= 1 here and w <= i + 1 <= len")
-        let op_gap = config.neighbor_gap_op_frac * (cols.ends[w - 1] - cols.starts[w - 1]);
+        let (last_start, last_end, _, _) = cols.op(w - 1);
+        let gap = op.0 - last_end;
+        let op_gap = config.neighbor_gap_op_frac * (last_end - last_start);
         if gap <= runtime_gap.max(op_gap) {
-            // Fuse in place: hull + saturating sums, same order as `fuse`.
-            // lint: allow(panic, "w - 1 < w <= len and i < len")
-            cols.starts[w - 1] = cols.starts[w - 1].min(cols.starts[i]);
-            // lint: allow(panic, "w - 1 < w <= len and i < len")
-            cols.ends[w - 1] = cols.ends[w - 1].max(cols.ends[i]);
-            // lint: allow(panic, "w - 1 < w <= len and i < len")
-            cols.bytes[w - 1] = cols.bytes[w - 1].saturating_add(cols.bytes[i]);
-            // lint: allow(panic, "w - 1 < w <= len and i < len")
-            cols.ranks[w - 1] = cols.ranks[w - 1].saturating_add(cols.ranks[i]);
+            cols.fuse(w - 1, op);
         } else {
-            cols.copy_within(i, w);
+            cols.set(w, op);
             w += 1;
         }
     }
     cols.truncate(w);
 }
 
-/// Both merge passes for one direction — the columnar
-/// [`crate::merge::merge_all`]. The result is `scratch.merged`.
+/// Both merge passes for one direction, the full §III-B2 pre-processing.
+/// The result is `scratch.merged`.
 pub fn merge_all_columnar(
     input: &OpColumns,
     runtime: f64,
@@ -355,9 +363,9 @@ pub fn merge_all_columnar(
     merge_neighbors_columnar(&mut scratch.merged, runtime, config);
 }
 
-/// Columnar twin of [`crate::temporality::chunk_volumes`]: apportion bytes
-/// over `chunks` equal time chunks, streaming the three column arrays.
-/// Float arithmetic and clamping are identical to the row version.
+/// Apportion bytes over `chunks` equal time chunks of `[0, runtime]`,
+/// streaming the three column arrays. Each operation's bytes are spread
+/// uniformly over its (window-clipped) interval.
 pub fn chunk_volumes_columnar(cols: &OpColumns, runtime: f64, chunks: usize) -> Vec<f64> {
     let mut sums = vec![0.0; chunks];
     if runtime <= 0.0 || chunks == 0 {
@@ -365,17 +373,19 @@ pub fn chunk_volumes_columnar(cols: &OpColumns, runtime: f64, chunks: usize) -> 
     }
     let width = runtime / chunks as f64;
     for i in 0..cols.len() {
-        // lint: allow(panic, "i < len and all four columns share that length")
-        let (op_start, op_end, op_bytes) = (cols.starts[i], cols.ends[i], cols.bytes[i]);
+        let (op_start, op_end, op_bytes, _) = cols.op(i);
         if op_bytes == 0 {
             continue;
         }
+        // Ops entirely outside the job window carry no in-window bytes;
+        // apportioning them would dump phantom volume into an edge chunk.
         if op_start > runtime || op_end < 0.0 {
             continue;
         }
         let s = op_start.max(0.0);
         let e = op_end.min(runtime).max(s);
         if e <= s {
+            // Instantaneous operation: all bytes in its containing chunk.
             // lint: allow(cast, "f64-to-usize `as` saturates; s >= 0 and min(chunks - 1) clamps above")
             let c = ((s / width) as usize).min(chunks - 1);
             // lint: allow(panic, "c is clamped to chunks - 1 == sums.len() - 1")
@@ -403,8 +413,7 @@ pub fn chunk_volumes_columnar(cols: &OpColumns, runtime: f64, chunks: usize) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::merge::{merge_all, merge_concurrent, merge_neighbors};
-    use crate::temporality::chunk_volumes;
+    use crate::merge::merge_all;
     use mosaic_darshan::job::JobHeader;
     use mosaic_darshan::log::TraceLogBuilder;
     use mosaic_darshan::mdf;
@@ -412,25 +421,9 @@ mod tests {
     use mosaic_darshan::validate;
     use mosaic_darshan::view::{validate_view, TraceView};
 
-    fn op(start: f64, end: f64, bytes: u64) -> Operation {
-        Operation { kind: OpKind::Write, start, end, bytes, ranks: 1 }
-    }
-
     fn cfg() -> CategorizerConfig {
         CategorizerConfig::default()
     }
-
-    fn merged_rows(ops: &[Operation], runtime: f64) -> Vec<Operation> {
-        let mut cols = OpColumns::default();
-        cols.load_ops(ops);
-        let mut scratch = MergeScratch::default();
-        merge_all_columnar(&cols, runtime, &cfg(), &mut scratch);
-        let mut out = Vec::new();
-        scratch.merged.materialize(OpKind::Write, &mut out);
-        out
-    }
-
-    // ---- boundary tests for the columnar interval layout ----
 
     #[test]
     fn empty_trace_columns() {
@@ -439,104 +432,6 @@ mod tests {
         merge_all_columnar(&cols, 100.0, &cfg(), &mut scratch);
         assert!(scratch.merged.is_empty());
         assert_eq!(chunk_volumes_columnar(&cols, 100.0, 4), vec![0.0; 4]);
-        assert_eq!(merged_rows(&[], 100.0), merge_all(&[], 100.0, &cfg()));
-    }
-
-    #[test]
-    fn single_interval_column() {
-        let ops = [op(10.0, 20.0, 64)];
-        assert_eq!(merged_rows(&ops, 100.0), merge_all(&ops, 100.0, &cfg()));
-        let mut cols = OpColumns::default();
-        cols.load_ops(&ops);
-        assert_eq!(chunk_volumes_columnar(&cols, 100.0, 4), chunk_volumes(&ops, 100.0, 4));
-        assert_eq!(cols.len(), 1);
-    }
-
-    #[test]
-    fn interval_straddling_chunk_edges() {
-        // Ops crossing every quartile edge, plus one instantaneous op
-        // exactly on an edge and one clamped at the runtime boundary.
-        let ops = [
-            op(20.0, 30.0, 100), // straddles the 25 s edge
-            op(45.0, 55.0, 100), // straddles the 50 s edge
-            op(70.0, 80.0, 100), // straddles the 75 s edge
-            op(25.0, 25.0, 7),   // instantaneous exactly on an edge
-            op(95.0, 120.0, 40), // clipped at runtime
-            op(-5.0, 5.0, 40),   // clipped at zero
-        ];
-        let mut cols = OpColumns::default();
-        cols.load_ops(&ops);
-        let columnar = chunk_volumes_columnar(&cols, 100.0, 4);
-        let rows = chunk_volumes(&ops, 100.0, 4);
-        assert_eq!(columnar, rows, "chunk apportioning must be bit-identical");
-    }
-
-    #[test]
-    fn merge_agrees_on_overlapping_and_touching_ops() {
-        let ops = [
-            op(5.0, 6.0, 2),
-            op(0.0, 1.0, 1),
-            op(0.5, 2.0, 4),
-            op(2.0, 3.0, 8),    // touching endpoint: closed-interval fuse
-            op(6.004, 7.0, 16), // within the neighbor gap for runtime 10_000
-        ];
-        assert_eq!(merged_rows(&ops, 10_000.0), merge_all(&ops, 10_000.0, &cfg()));
-        // And pass-by-pass agreement, not just end-to-end.
-        let mut cols = OpColumns::default();
-        cols.load_ops(&ops);
-        let mut scratch = MergeScratch::default();
-        merge_concurrent_columnar(&cols, &mut scratch);
-        let mut conc = Vec::new();
-        scratch.merged.materialize(OpKind::Write, &mut conc);
-        assert_eq!(conc, merge_concurrent(&ops));
-        merge_neighbors_columnar(&mut scratch.merged, 10_000.0, &cfg());
-        let mut neigh = Vec::new();
-        scratch.merged.materialize(OpKind::Write, &mut neigh);
-        assert_eq!(neigh, merge_neighbors(&conc, 10_000.0, &cfg()));
-    }
-
-    #[test]
-    fn equal_start_ties_preserve_extraction_order() {
-        // Stable-sort equivalence: equal (start, end) pairs with different
-        // payloads must fuse in extraction order on both paths.
-        let ops = [op(1.0, 2.0, 10), op(1.0, 2.0, 20), op(1.0, 1.5, 5), op(1.0, 2.0, 40)];
-        assert_eq!(merged_rows(&ops, 100.0), merge_all(&ops, 100.0, &cfg()));
-    }
-
-    #[test]
-    fn max_clamp_values_agree_between_parsers() {
-        // The PR-6 bomb-guard clamps, exercised at their exact boundary
-        // values through BOTH parsers: the borrowed parser must accept and
-        // reject the same inputs with the same errors.
-        let log = TraceLogBuilder::new(JobHeader::new(1, 1, 1, 0, 10)).finish();
-        let bytes = mdf::to_bytes(&log);
-        let exe_len_off = 8 + 2 + 2 + 8 + 4 + 4 + 8 + 8;
-        let exe_len =
-            u32::from_le_bytes(bytes[exe_len_off..exe_len_off + 4].try_into().unwrap()) as usize;
-        let n_records_off = exe_len_off + 4 + exe_len;
-
-        let patch = |off: usize, value: u32| {
-            let mut b = bytes.clone();
-            b[off..off + 4].copy_from_slice(&value.to_le_bytes());
-            let n = b.len();
-            let crc = mosaic_darshan::synthutil::Crc32::checksum(&b[..n - 4]);
-            b[n - 4..].copy_from_slice(&crc.to_le_bytes());
-            b
-        };
-        for (off, value) in [
-            (n_records_off, mdf::MAX_RECORDS),     // at the cap: truncated
-            (n_records_off, mdf::MAX_RECORDS + 1), // past the cap: implausible
-            (n_records_off + 4, mdf::MAX_NAMES),   // name-table cap
-            (n_records_off + 4, mdf::MAX_NAMES + 1),
-            (exe_len_off, mdf::MAX_EXE_LEN),     // exe cap: truncated
-            (exe_len_off, mdf::MAX_EXE_LEN + 1), // past: implausible
-        ] {
-            let b = patch(off, value);
-            let owned = mdf::from_bytes(&b).map(|_| ());
-            let borrowed = TraceView::parse(&b).map(|_| ());
-            assert_eq!(borrowed, owned, "clamp at offset {off} value {value}");
-            assert!(owned.is_err(), "clamp value {value} must be rejected");
-        }
     }
 
     // ---- extraction agreement ----
@@ -568,13 +463,13 @@ mod tests {
         let log = b.finish();
         let bytes = mdf::to_bytes(&log);
 
-        // Owned path: validate, delete, extract.
+        // Row-fed: validate, delete, extract.
         let report = validate::validate(&log);
         let mut sanitized = log.clone();
         validate::delete_invalid(&mut sanitized, &report);
         let view_owned = OperationView::from_log(&sanitized);
 
-        // Columnar path: borrowed view, same report, extract.
+        // Wire-fed: borrowed view, same report, extract.
         let tv = TraceView::parse(&bytes).unwrap();
         let vreport = validate_view(&tv);
         assert_eq!(vreport, report);
@@ -585,8 +480,8 @@ mod tests {
         assert_eq!(trace.nprocs, view_owned.nprocs);
         assert_eq!(trace.meta, view_owned.meta);
         assert_eq!(trace.weight, sanitized.io_weight());
-        // Columns are pre-sort; the owned view is start-sorted. Compare
-        // through the merge (where the owned path sorts anyway).
+        // Columns are in extraction order; the row view is start-sorted.
+        // Compare through the merge, which sorts both the same way.
         let mut scratch = MergeScratch::default();
         merge_all_columnar(&trace.reads, trace.runtime, &cfg(), &mut scratch);
         let mut merged_cols = Vec::new();

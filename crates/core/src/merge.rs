@@ -12,33 +12,38 @@
 //!   than 1 % of the duration of the nearby merged operation — also fuse.
 //!   This catches slow drift that has already slid operations past the
 //!   overlap point.
+//!
+//! The arithmetic lives once, in [`crate::columnar`]; these row-in/row-out
+//! entry points load one direction's operations into columns, run the
+//! columnar passes and materialize the result. Every input operation is
+//! taken to be of the same [`OpKind`] (one direction), which the output
+//! carries.
 
+use crate::columnar::{self, MergeScratch, OpColumns};
 use crate::config::CategorizerConfig;
-use mosaic_darshan::ops::Operation;
+use mosaic_darshan::ops::{OpKind, Operation};
 
-/// Fuse `b` into `a` (interval hull, byte sum, rank sum).
-fn fuse(a: &mut Operation, b: &Operation) {
-    a.start = a.start.min(b.start);
-    a.end = a.end.max(b.end);
-    a.bytes = a.bytes.saturating_add(b.bytes);
-    a.ranks = a.ranks.saturating_add(b.ranks);
+fn columns_of(ops: &[Operation]) -> OpColumns {
+    let mut cols = OpColumns::default();
+    cols.load_ops(ops);
+    cols
+}
+
+fn rows_of(cols: &OpColumns, like: &[Operation]) -> Vec<Operation> {
+    let kind = like.first().map_or(OpKind::Read, |op| op.kind);
+    let mut out = Vec::new();
+    cols.materialize(kind, &mut out);
+    out
 }
 
 /// Concurrent merging: fuse every group of transitively overlapping
-/// operations into a single operation.
+/// operations into a single operation (interval hull, byte sum, rank sum).
 ///
 /// Input need not be sorted; output is sorted by start time.
 pub fn merge_concurrent(ops: &[Operation]) -> Vec<Operation> {
-    let mut sorted: Vec<Operation> = ops.to_vec();
-    sorted.sort_by(|a, b| a.start.total_cmp(&b.start).then(a.end.total_cmp(&b.end)));
-    let mut out: Vec<Operation> = Vec::with_capacity(sorted.len());
-    for op in sorted {
-        match out.last_mut() {
-            Some(last) if op.start <= last.end => fuse(last, &op),
-            _ => out.push(op),
-        }
-    }
-    out
+    let mut scratch = MergeScratch::default();
+    columnar::merge_concurrent_columnar(&columns_of(ops), &mut scratch);
+    rows_of(&scratch.merged, ops)
 }
 
 /// Neighbor merging: fuse consecutive operations whose gap is below
@@ -51,28 +56,16 @@ pub fn merge_neighbors(
     runtime: f64,
     config: &CategorizerConfig,
 ) -> Vec<Operation> {
-    let runtime_gap = config.neighbor_gap_runtime_frac * runtime.max(0.0);
-    let mut out: Vec<Operation> = Vec::with_capacity(ops.len());
-    for op in ops {
-        match out.last_mut() {
-            Some(last) => {
-                let gap = op.start - last.end;
-                let op_gap = config.neighbor_gap_op_frac * last.duration();
-                if gap <= runtime_gap.max(op_gap) {
-                    fuse(last, op);
-                } else {
-                    out.push(*op);
-                }
-            }
-            None => out.push(*op),
-        }
-    }
-    out
+    let mut cols = columns_of(ops);
+    columnar::merge_neighbors_columnar(&mut cols, runtime, config);
+    rows_of(&cols, ops)
 }
 
 /// Both passes in order: the full §III-B2 pre-processing for one direction.
 pub fn merge_all(ops: &[Operation], runtime: f64, config: &CategorizerConfig) -> Vec<Operation> {
-    merge_neighbors(&merge_concurrent(ops), runtime, config)
+    let mut scratch = MergeScratch::default();
+    columnar::merge_all_columnar(&columns_of(ops), runtime, config, &mut scratch);
+    rows_of(&scratch.merged, ops)
 }
 
 #[cfg(test)]

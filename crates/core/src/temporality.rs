@@ -17,7 +17,6 @@
 
 use crate::category::TemporalityLabel;
 use crate::config::CategorizerConfig;
-use mosaic_darshan::ops::Operation;
 use serde::{Deserialize, Serialize};
 
 /// The temporality verdict for one direction, with the evidence kept for
@@ -35,51 +34,6 @@ pub struct TemporalityResult {
     pub confident: bool,
 }
 
-/// Apportion operation bytes over `chunks` equal time chunks of
-/// `[0, runtime]`.
-pub fn chunk_volumes(ops: &[Operation], runtime: f64, chunks: usize) -> Vec<f64> {
-    let mut sums = vec![0.0; chunks];
-    if runtime <= 0.0 || chunks == 0 {
-        return sums;
-    }
-    let width = runtime / chunks as f64;
-    for op in ops {
-        if op.bytes == 0 {
-            continue;
-        }
-        // Ops entirely outside the job window carry no in-window bytes;
-        // apportioning them would dump phantom volume into an edge chunk.
-        if op.start > runtime || op.end < 0.0 {
-            continue;
-        }
-        let s = op.start.max(0.0);
-        let e = op.end.min(runtime).max(s);
-        if e <= s {
-            // Instantaneous operation: all bytes in its containing chunk.
-            // lint: allow(cast, "f64-to-usize `as` saturates; s >= 0 and min(chunks - 1) clamps above")
-            let c = ((s / width) as usize).min(chunks - 1);
-            // lint: allow(panic, "c is clamped to chunks - 1 == sums.len() - 1")
-            sums[c] += op.bytes as f64;
-            continue;
-        }
-        let density = op.bytes as f64 / (e - s);
-        // lint: allow(cast, "f64-to-usize `as` saturates; s >= 0 and min(chunks - 1) clamps above")
-        let first = ((s / width) as usize).min(chunks - 1);
-        // lint: allow(cast, "f64-to-usize `as` saturates; e >= s >= 0 and min(chunks - 1) clamps above")
-        let last = ((e / width) as usize).min(chunks - 1);
-        #[allow(clippy::needless_range_loop)] // index math over a time window
-        for c in first..=last {
-            let lo = s.max(c as f64 * width);
-            let hi = e.min((c + 1) as f64 * width);
-            if hi > lo {
-                // lint: allow(panic, "c <= last, which is clamped to chunks - 1 == sums.len() - 1")
-                sums[c] += density * (hi - lo);
-            }
-        }
-    }
-    sums
-}
-
 /// Positional label of chunk `i` among `n` chunks (generalizes the paper's
 /// four-chunk mapping to other chunk counts for the ablation bench).
 fn positional_label(i: usize, n: usize) -> TemporalityLabel {
@@ -94,21 +48,9 @@ fn positional_label(i: usize, n: usize) -> TemporalityLabel {
     }
 }
 
-/// Characterize the temporality of one direction from its (merged)
-/// operations.
-pub fn characterize(
-    ops: &[Operation],
-    runtime: f64,
-    config: &CategorizerConfig,
-) -> TemporalityResult {
-    let total_bytes: u64 = ops.iter().map(|o| o.bytes).sum();
-    let chunk_bytes = chunk_volumes(ops, runtime, config.chunks);
-    characterize_from_chunks(chunk_bytes, total_bytes, config)
-}
-
-/// Characterize from columnar (struct-of-arrays) merged operations — the
-/// zero-copy path's entry point. The chunk apportioning streams the column
-/// arrays; the decision core is shared with [`characterize`].
+/// Characterize the temporality of one direction from its merged
+/// operations, held as columns. The chunk apportioning streams the column
+/// arrays ([`crate::columnar::chunk_volumes_columnar`]).
 pub fn characterize_columnar(
     cols: &crate::columnar::OpColumns,
     runtime: f64,
@@ -119,9 +61,8 @@ pub fn characterize_columnar(
     characterize_from_chunks(chunk_bytes, total_bytes, config)
 }
 
-/// The label decision, shared verbatim by the row and columnar entry points
-/// so the two paths cannot drift.
-pub fn characterize_from_chunks(
+/// The label decision from per-chunk byte volumes.
+fn characterize_from_chunks(
     chunk_bytes: Vec<f64>,
     total_bytes: u64,
     config: &CategorizerConfig,
@@ -198,7 +139,8 @@ pub fn characterize_from_chunks(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mosaic_darshan::ops::OpKind;
+    use crate::columnar::{chunk_volumes_columnar, OpColumns};
+    use mosaic_darshan::ops::{OpKind, Operation};
 
     const MB: u64 = 1 << 20;
 
@@ -208,6 +150,24 @@ mod tests {
 
     fn cfg() -> CategorizerConfig {
         CategorizerConfig::default()
+    }
+
+    fn columns(ops: &[Operation]) -> OpColumns {
+        let mut cols = OpColumns::default();
+        cols.load_ops(ops);
+        cols
+    }
+
+    fn chunk_volumes(ops: &[Operation], runtime: f64, chunks: usize) -> Vec<f64> {
+        chunk_volumes_columnar(&columns(ops), runtime, chunks)
+    }
+
+    fn characterize(
+        ops: &[Operation],
+        runtime: f64,
+        config: &CategorizerConfig,
+    ) -> TemporalityResult {
+        characterize_columnar(&columns(ops), runtime, config)
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Borrowed, zero-copy views over MDF wire bytes.
 //!
-//! [`crate::mdf::from_bytes`] materializes an owned [`TraceLog`] — a
-//! `String` for the exe, a `Vec<PosixRecord>` and a `BTreeMap` name table —
-//! on every parse, even for traces that validation will evict a microsecond
-//! later. [`TraceView::parse`] instead performs the *same* structural
-//! verification (byte-for-byte identical accept/reject decisions and error
-//! precedence, pinned by the `zerocopy_agreement` property tests) but keeps
-//! everything borrowed:
+//! [`TraceView::parse`] is the one structural MDF parser: it owns every
+//! [`crate::limits`] bomb guard, and [`crate::mdf::from_bytes`] is `parse`
+//! followed by [`TraceView::to_log`]. An owned [`TraceLog`] holds a `String`
+//! for the exe, a `Vec<PosixRecord>` and a `BTreeMap` name table; the view
+//! skips that materialization — worthless for traces validation will evict
+//! a microsecond later — and keeps everything borrowed:
 //!
 //! * header fields are decoded to scalars, the exe stays a `&str` into the
 //!   input buffer;
@@ -41,9 +40,8 @@ const FCOUNTERS_OFF: usize = COUNTERS_OFF + N_POSIX_COUNTERS * 8;
 /// Minimum wire size of one name-table entry (id + length prefix).
 const NAME_WIRE_MIN_BYTES: usize = 8 + 2;
 
-/// A borrowing cursor over the payload, mirroring the owned parser's
-/// `Bytes` getters: every read names the field it was after, so truncation
-/// errors carry the same context strings.
+/// A borrowing cursor over the payload: every read names the field it was
+/// after, so a truncation error says which field ran out of bytes.
 struct Cursor<'a> {
     buf: &'a [u8],
 }
@@ -261,8 +259,7 @@ impl<'a> RecordView<'a> {
 
 /// A structurally verified MDF trace, borrowed from its wire buffer.
 ///
-/// Produced by [`TraceView::parse`], which accepts and rejects exactly the
-/// inputs [`crate::mdf::from_bytes`] does — same errors, same precedence —
+/// Produced by [`TraceView::parse`], which verifies the whole structure
 /// without materializing records or the name table.
 pub struct TraceView<'a> {
     /// Scheduler job identifier.
@@ -290,9 +287,8 @@ impl<'a> TraceView<'a> {
     /// Parse MDF bytes into a borrowed view.
     ///
     /// The structural pass — magic, checksum, header decoding, bomb guards,
-    /// per-record module tags, name-table shape, trailing-byte check — is
-    /// identical to [`crate::mdf::from_bytes`]; only the materialization is
-    /// skipped.
+    /// per-record module tags, name-table shape, trailing-byte check — runs
+    /// in full; only the materialization is left to [`TraceView::to_log`].
     pub fn parse(data: &'a [u8]) -> Result<TraceView<'a>, FormatError> {
         if data.len() < MAGIC.len() + 4 + 4 {
             return Err(FormatError::Truncated { context: "file header" });
@@ -333,16 +329,18 @@ impl<'a> TraceView<'a> {
                 len: u64::from(n_records),
             });
         }
-        // Same pre-allocation bomb guard as the owned parser: a claimed
-        // count the remaining payload cannot hold is rejected up front.
+        // Pre-allocation bomb guard: a crafted header claiming millions of
+        // records is rejected before anything is sized from the count.
+        // Every record occupies RECORD_WIRE_BYTES, so a count the remaining
+        // payload cannot possibly hold is rejected up front.
         if u64::from(n_records) * usize_to_u64(RECORD_WIRE_BYTES) > usize_to_u64(cur.remaining()) {
             return Err(FormatError::Truncated { context: "record array" });
         }
         let n_records = u32_to_usize(n_records);
         // Cannot overflow: the product fit inside `remaining` above.
         let records = cur.take(n_records * RECORD_WIRE_BYTES, "record array")?;
-        // The owned parser rejects unknown module tags record by record;
-        // walking the tag bytes here keeps the accept set identical.
+        // Unknown module tags are rejected here, record by record, so the
+        // accessors below can trust every tag.
         for i in 0..n_records {
             let tag = le_u8(records, i * RECORD_WIRE_BYTES + 12);
             if Module::from_tag(tag).is_none() {
@@ -357,6 +355,8 @@ impl<'a> TraceView<'a> {
                 len: u64::from(n_names),
             });
         }
+        // Same guard for the name table: each entry needs at least its id and
+        // length prefix on the wire.
         if u64::from(n_names) * usize_to_u64(NAME_WIRE_MIN_BYTES) > usize_to_u64(cur.remaining()) {
             return Err(FormatError::Truncated { context: "name table" });
         }
@@ -443,9 +443,9 @@ impl<'a> TraceView<'a> {
         (self.uid, self.app_name().to_owned())
     }
 
-    /// Materialize the owned [`TraceLog`] this view verifies. Exactly what
-    /// [`crate::mdf::from_bytes`] would have produced — used by tests and by
-    /// callers that need the name strings after all.
+    /// Materialize the owned [`TraceLog`] this view verifies — the second
+    /// half of [`crate::mdf::from_bytes`], for callers that need the name
+    /// strings after all.
     pub fn to_log(&self) -> TraceLog {
         let header =
             JobHeader::new(self.job_id, self.uid, self.nprocs, self.start_time, self.end_time)
@@ -514,11 +514,11 @@ mod tests {
     }
 
     #[test]
-    fn view_roundtrip_matches_owned_parser() {
+    fn view_roundtrip_preserves_the_log() {
         let log = sample();
         let bytes = mdf::to_bytes(&log);
         let view = TraceView::parse(&bytes).unwrap();
-        assert_eq!(view.to_log(), mdf::from_bytes(&bytes).unwrap());
+        assert_eq!(view.to_log(), log);
         assert_eq!(view.n_records(), log.records().len());
         assert_eq!(view.exe, log.header().exe);
         assert_eq!(view.app_key(), log.header().app_key());
@@ -541,21 +541,54 @@ mod tests {
     }
 
     #[test]
-    fn errors_match_owned_parser_on_corrupted_inputs() {
+    fn corrupted_inputs_are_rejected() {
         let bytes = mdf::to_bytes(&sample());
-        // Truncations at every prefix length must agree exactly.
+        // Every strict prefix is too short or fails the checksum.
         for cut in 0..bytes.len() {
-            let owned = mdf::from_bytes(&bytes[..cut]);
-            let borrowed = TraceView::parse(&bytes[..cut]).map(|_| ());
-            assert_eq!(borrowed, owned.map(|_| ()), "cut at {cut}");
+            let err = TraceView::parse(&bytes[..cut]).map(|_| ()).unwrap_err();
+            assert!(
+                matches!(err, FormatError::Truncated { .. } | FormatError::ChecksumMismatch { .. }),
+                "cut at {cut} gave {err:?}"
+            );
         }
-        // Bit flips anywhere must agree (checksum mismatch, mostly).
+        // A bit flip anywhere is caught (by the magic or the checksum).
         for pos in (0..bytes.len()).step_by(7) {
             let mut corrupt = bytes.clone();
             corrupt[pos] ^= 0x20;
-            let owned = mdf::from_bytes(&corrupt).map(|_| ());
-            let borrowed = TraceView::parse(&corrupt).map(|_| ());
-            assert_eq!(borrowed, owned, "flip at {pos}");
+            assert!(TraceView::parse(&corrupt).is_err(), "flip at {pos}");
+        }
+    }
+
+    #[test]
+    fn max_clamp_values_are_rejected_at_their_boundaries() {
+        // The bomb-guard clamps at their exact boundary values: at a cap the
+        // payload cannot hold the claimed count (truncated), past it the
+        // count itself is implausible.
+        let log = TraceLogBuilder::new(JobHeader::new(1, 1, 1, 0, 10)).finish();
+        let bytes = mdf::to_bytes(&log);
+        let exe_len_off = 8 + 2 + 2 + 8 + 4 + 4 + 8 + 8;
+        let n_records_off = exe_len_off + 4 + log.header().exe.len();
+        let patch = |off: usize, value: u32| {
+            let mut b = bytes.clone();
+            b[off..off + 4].copy_from_slice(&value.to_le_bytes());
+            let n = b.len();
+            let crc = Crc32::checksum(&b[..n - 4]);
+            b[n - 4..].copy_from_slice(&crc.to_le_bytes());
+            b
+        };
+        let truncated = |context| FormatError::Truncated { context };
+        let implausible =
+            |context, len: u32| FormatError::ImplausibleLength { context, len: u64::from(len) };
+        for (off, value, want) in [
+            (n_records_off, MAX_RECORDS, truncated("record array")),
+            (n_records_off, MAX_RECORDS + 1, implausible("record count", MAX_RECORDS + 1)),
+            (n_records_off + 4, MAX_NAMES, truncated("name table")),
+            (n_records_off + 4, MAX_NAMES + 1, implausible("name count", MAX_NAMES + 1)),
+            (exe_len_off, MAX_EXE_LEN, truncated("exe")),
+            (exe_len_off, MAX_EXE_LEN + 1, implausible("exe", MAX_EXE_LEN + 1)),
+        ] {
+            let got = TraceView::parse(&patch(off, value)).map(|_| ());
+            assert_eq!(got, Err(want), "clamp at offset {off} value {value}");
         }
     }
 
@@ -605,7 +638,7 @@ mod tests {
         assert_eq!(view.exe, "");
         assert!(view.record(0).is_none());
         assert_eq!(view.to_log(), log);
-        // Header errors (zero runtime, zero procs) agree with the owned path.
+        // Header errors (zero runtime, zero procs) agree with `validate`.
         assert_eq!(validate_view(&view), validate::validate(&log));
     }
 

@@ -1,4 +1,4 @@
-//! L8/L9 — interprocedural wire-taint dataflow and guard-set parity.
+//! L8/L9 — interprocedural wire-taint dataflow and guard anchoring.
 //!
 //! **L8 (wire-taint)** answers one question statically: can a length that an
 //! attacker controls — a value read straight off the wire by one of the
@@ -30,11 +30,9 @@
 //! * **Sinks** — `with_capacity`/`reserve`/`reserve_exact` arguments,
 //!   `vec![elem; n]` lengths, and slice-range bounds.
 //!
-//! **L9 (guard parity)** is the static twin of the runtime differential
-//! oracle: it extracts the set of `MAX_*` constants each parser actually
-//! compares against and fails if the owned (`mdf.rs`) and borrowed
-//! (`view.rs`) parsers drift, or if a parser guards with a constant that is
-//! not declared in the shared `limits.rs` module.
+//! **L9 (guard anchoring)** extracts the set of `MAX_*` constants each
+//! parser actually compares against and fails if one is not declared in the
+//! shared `limits.rs` module, so every bomb bound has one definition.
 //!
 //! Known approximations (all of which err toward *under*-reporting noise,
 //! not false alarms, and are covered by fixtures): match-arm pattern
@@ -1172,13 +1170,12 @@ impl Walker<'_, '_> {
 }
 
 // ---------------------------------------------------------------------------
-// L9 — guard-set parity
+// L9 — guard anchoring
 // ---------------------------------------------------------------------------
 
-/// Run the L9 pass: per-directory, the `mdf.rs`/`view.rs` parser pair must
-/// compare against the same `MAX_*` constants, and every guard constant used
-/// by a parser must be declared in the sibling `limits.rs`.
-pub(crate) fn check_guard_parity(files: &[(&str, &Lexed)]) -> Vec<TaintFinding> {
+/// Run the L9 pass: every guard constant a parser (`mdf.rs`, `view.rs`,
+/// `dxt.rs`) compares against must be declared in the sibling `limits.rs`.
+pub(crate) fn check_guard_anchors(files: &[(&str, &Lexed)]) -> Vec<TaintFinding> {
     let mut by_dir: BTreeMap<&str, BTreeMap<&str, &Lexed>> = BTreeMap::new();
     for (rel, lx) in files {
         let (dir, base) = rel.rsplit_once('/').unwrap_or(("", rel));
@@ -1195,57 +1192,21 @@ pub(crate) fn check_guard_parity(files: &[(&str, &Lexed)]) -> Vec<TaintFinding> 
     };
     let mut out = Vec::new();
     for (dir, members) in &by_dir {
-        let uses: BTreeMap<&str, BTreeMap<String, u32>> = members
-            .iter()
-            .filter(|(b, _)| WIRE_FILE_BASENAMES.contains(*b))
-            .map(|(b, lx)| (*b, guard_uses(lx)))
-            .collect();
-        if let (Some(m), Some(v)) = (uses.get("mdf.rs"), uses.get("view.rs")) {
-            for (c, line) in m {
-                if !v.contains_key(c) {
+        let Some(lim) = members.get("limits.rs") else { continue };
+        let declared = declared_guard_consts(lim);
+        for (base, lx) in members.iter().filter(|(b, _)| WIRE_FILE_BASENAMES.contains(*b)) {
+            for (c, line) in guard_uses(lx) {
+                if !declared.contains(&c) {
                     out.push(TaintFinding {
-                        rel: join(dir, "view.rs"),
-                        line: 1,
+                        rel: join(dir, base),
+                        line,
                         message: format!(
-                            "guard-set drift: the owned parser compares against `{c}` \
-                             ({}:{line}) but the borrowed parser never does; the twin MDF \
-                             parsers must enforce one `MAX_*` guard set",
-                            join(dir, "mdf.rs")
+                            "guard constant `{c}` is not declared in `{}`; \
+                             decompression-bomb bounds must live in the shared `limits` \
+                             module so every parser anchors to one definition",
+                            join(dir, "limits.rs")
                         ),
                     });
-                }
-            }
-            for (c, line) in v {
-                if !m.contains_key(c) {
-                    out.push(TaintFinding {
-                        rel: join(dir, "mdf.rs"),
-                        line: 1,
-                        message: format!(
-                            "guard-set drift: the borrowed parser compares against `{c}` \
-                             ({}:{line}) but the owned parser never does; the twin MDF \
-                             parsers must enforce one `MAX_*` guard set",
-                            join(dir, "view.rs")
-                        ),
-                    });
-                }
-            }
-        }
-        if let Some(lim) = members.get("limits.rs") {
-            let declared = declared_guard_consts(lim);
-            for (base, us) in &uses {
-                for (c, line) in us {
-                    if !declared.contains(c) {
-                        out.push(TaintFinding {
-                            rel: join(dir, base),
-                            line: *line,
-                            message: format!(
-                                "guard constant `{c}` is not declared in `{}`; \
-                                 decompression-bomb bounds must live in the shared `limits` \
-                                 module so both parsers anchor to one definition",
-                                join(dir, "limits.rs")
-                            ),
-                        });
-                    }
                 }
             }
         }
@@ -1333,7 +1294,7 @@ mod tests {
         let lexed: Vec<Lexed> = files.iter().map(|(_, s)| lex(s)).collect();
         let inputs: Vec<(&str, &Lexed)> =
             files.iter().zip(&lexed).map(|((r, _), l)| (*r, l)).collect();
-        check_guard_parity(&inputs)
+        check_guard_anchors(&inputs)
     }
 
     const MDF: &str = "crates/x/src/mdf.rs";
@@ -1582,37 +1543,6 @@ pub fn from_bytes(buf: &[u8]) {
     }
 
     #[test]
-    fn guard_parity_flags_drift_in_both_directions() {
-        let mdf = "\
-pub fn from_bytes(n: u32) {
-    if n > MAX_RECORDS { return; }
-    if n > MAX_NAMES { return; }
-}
-";
-        let view = "\
-pub fn parse(n: u32) {
-    if n > MAX_RECORDS { return; }
-    if n > MAX_EXE_LEN { return; }
-}
-";
-        let f = run_l9(&[("crates/x/src/mdf.rs", mdf), ("crates/x/src/view.rs", view)]);
-        assert_eq!(f.len(), 2, "{f:?}");
-        assert!(f[0].rel.ends_with("mdf.rs") && f[0].message.contains("`MAX_EXE_LEN`"));
-        assert!(f[1].rel.ends_with("view.rs") && f[1].message.contains("`MAX_NAMES`"));
-    }
-
-    #[test]
-    fn guard_parity_is_quiet_when_in_sync() {
-        let both = "\
-pub fn f(n: u32) {
-    if n > MAX_RECORDS { return; }
-    if limits::MAX_NAMES < n { return; }
-}
-";
-        assert!(run_l9(&[("crates/x/src/mdf.rs", both), ("crates/x/src/view.rs", both)]).is_empty());
-    }
-
-    #[test]
     fn guard_consts_must_anchor_in_limits() {
         let mdf = "pub fn f(n: u32) { if n > MAX_ROGUE { return; } }\n";
         let view = "pub fn f(n: u32) { if n > MAX_ROGUE { return; } }\n";
@@ -1635,6 +1565,14 @@ const MAX_LOCAL: u32 = 9;
 pub fn f(n: u32) { if n > MAX_RECORDS { return; } }
 ";
         let view = "pub fn f(n: u32) { if n > MAX_RECORDS { return; } }\n";
-        assert!(run_l9(&[("crates/x/src/mdf.rs", mdf), ("crates/x/src/view.rs", view)]).is_empty());
+        // Only `MAX_RECORDS` is declared: the undeclared names above are
+        // imported or locally declared, never compared against.
+        let limits = "pub const MAX_RECORDS: u32 = 1;\n";
+        assert!(run_l9(&[
+            ("crates/x/src/mdf.rs", mdf),
+            ("crates/x/src/view.rs", view),
+            ("crates/x/src/limits.rs", limits),
+        ])
+        .is_empty());
     }
 }

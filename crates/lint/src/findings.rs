@@ -26,10 +26,10 @@ pub enum Rule {
     /// sizes an allocation (`with_capacity`, `reserve`, `vec![x; n]`,
     /// slice-range bounds), on every interprocedural path.
     WireTaint,
-    /// L9 — guard parity: the owned (`mdf.rs`) and borrowed (`view.rs`)
-    /// MDF parsers must compare against the same set of `MAX_*` guard
-    /// constants — the static twin of the runtime differential oracle.
-    GuardParity,
+    /// L9 — guard anchoring: every `MAX_*` constant a binary parser
+    /// compares against must be declared in the shared `limits.rs`, so each
+    /// decompression-bomb bound has one definition.
+    GuardAnchor,
     /// L10 — atomics discipline: every `store(Release)` pairs with a
     /// `load(Acquire)` on the same atomic (and vice versa); `Relaxed` is
     /// reserved for counters whose loaded value never guards a read of
@@ -61,7 +61,7 @@ impl Rule {
             Rule::LossyCast => "L6/lossy-cast",
             Rule::UnitMix => "L7/unit-consistency",
             Rule::WireTaint => "L8/wire-taint",
-            Rule::GuardParity => "L9/guard-parity",
+            Rule::GuardAnchor => "L9/guard-anchor",
             Rule::AtomicsDiscipline => "L10/atomics-discipline",
             Rule::LockDiscipline => "L11/lock-discipline",
             Rule::MalformedAllow => "allow-syntax",
@@ -81,7 +81,7 @@ impl Rule {
             Rule::UnitMix => Some("unit"),
             Rule::WireTaint => Some("taint"),
             Rule::AtomicsDiscipline | Rule::LockDiscipline => Some("sync"),
-            Rule::Taxonomy | Rule::GuardParity | Rule::MalformedAllow | Rule::UnusedAllow => None,
+            Rule::Taxonomy | Rule::GuardAnchor | Rule::MalformedAllow | Rule::UnusedAllow => None,
         }
     }
 
@@ -99,7 +99,7 @@ impl Rule {
             Rule::WireTaint => {
                 "Wire-read lengths must be MAX_*-guard-dominated before sizing allocations"
             }
-            Rule::GuardParity => "Owned and borrowed MDF parsers share one MAX_* guard set",
+            Rule::GuardAnchor => "Every parser MAX_* guard constant is declared in limits.rs",
             Rule::AtomicsDiscipline => {
                 "Release/Acquire pairing, seqlock brackets and Relaxed hygiene on atomics"
             }
@@ -121,7 +121,7 @@ pub const ALL_RULES: &[Rule] = &[
     Rule::LossyCast,
     Rule::UnitMix,
     Rule::WireTaint,
-    Rule::GuardParity,
+    Rule::GuardAnchor,
     Rule::AtomicsDiscipline,
     Rule::LockDiscipline,
     Rule::MalformedAllow,

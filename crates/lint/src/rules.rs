@@ -199,7 +199,7 @@ pub fn lint_files(files: &[FileInput]) -> Report {
 
     check_crate_roots(files, &prepared, &mut report.findings);
     check_taxonomy(files, &prepared, &mut report.findings);
-    check_guard_parity_rule(files, &prepared, &mut report.findings);
+    check_guard_anchor_rule(files, &prepared, &mut report.findings);
 
     report.normalize();
     report
@@ -282,14 +282,14 @@ pub fn sync_report_json(files: &[FileInput]) -> String {
     crate::sync::report_json(&inputs)
 }
 
-/// L9: guard-set parity between the owned and borrowed parsers, plus the
-/// `limits.rs` anchoring check. Structural — no per-line escape hatch.
-fn check_guard_parity_rule(files: &[FileInput], prepared: &[Prepared], out: &mut Vec<Finding>) {
+/// L9: every parser guard constant is anchored in `limits.rs`. Structural —
+/// no per-line escape hatch.
+fn check_guard_anchor_rule(files: &[FileInput], prepared: &[Prepared], out: &mut Vec<Finding>) {
     let inputs: Vec<(&str, &Lexed)> =
         prepared.iter().map(|p| (files[p.idx].rel.as_str(), &p.lexed)).collect();
-    for t in crate::dataflow::check_guard_parity(&inputs) {
+    for t in crate::dataflow::check_guard_anchors(&inputs) {
         out.push(Finding {
-            rule: Rule::GuardParity,
+            rule: Rule::GuardAnchor,
             file: t.rel,
             line: t.line,
             message: t.message,

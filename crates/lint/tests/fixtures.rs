@@ -163,30 +163,6 @@ fn l8_fixture_flags_each_unguarded_sink_with_its_taint_path() {
 }
 
 #[test]
-fn l9_fixture_flags_guard_drift_in_both_directions() {
-    let findings = lint_fixture_set(&[
-        ("l9_mdf.rs", "crates/darshan/src/mdf.rs"),
-        ("l9_view.rs", "crates/darshan/src/view.rs"),
-    ]);
-    let l9: Vec<_> = findings.iter().filter(|(r, ..)| *r == Rule::GuardParity).collect();
-    assert_eq!(l9.len(), 2, "{findings:?}");
-    assert!(
-        l9.iter().any(|(_, f, _, m)| f.ends_with("view.rs")
-            && m.contains("`MAX_NAMES`")
-            && m.contains("the borrowed parser never does")),
-        "{l9:?}"
-    );
-    assert!(
-        l9.iter().any(|(_, f, _, m)| f.ends_with("mdf.rs")
-            && m.contains("`MAX_EXE_LEN`")
-            && m.contains("the owned parser never does")),
-        "{l9:?}"
-    );
-    // Both halves guard correctly, so the taint pass stays quiet.
-    assert!(!findings.iter().any(|(r, ..)| *r == Rule::WireTaint), "{findings:?}");
-}
-
-#[test]
 fn l9_guard_constants_must_anchor_in_the_limits_module() {
     let findings = lint_fixture_set(&[
         ("l9_mdf.rs", "crates/darshan/src/mdf.rs"),
@@ -195,7 +171,7 @@ fn l9_guard_constants_must_anchor_in_the_limits_module() {
     ]);
     let anchor: Vec<_> = findings
         .iter()
-        .filter(|(r, _, _, m)| *r == Rule::GuardParity && m.contains("is not declared in"))
+        .filter(|(r, _, _, m)| *r == Rule::GuardAnchor && m.contains("is not declared in"))
         .collect();
     // `MAX_RECORDS` is declared; `MAX_NAMES` (mdf) and `MAX_EXE_LEN`
     // (view) are not.

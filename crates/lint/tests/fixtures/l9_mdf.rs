@@ -1,6 +1,6 @@
-//! L9 fixture, owned half: enforces `MAX_RECORDS` and `MAX_NAMES`.
-//! Its borrowed twin (`l9_view.rs`) dropped `MAX_NAMES` and invented
-//! `MAX_EXE_LEN`, so guard parity must flag drift in both directions.
+//! L9 fixture parser: enforces `MAX_RECORDS` and `MAX_NAMES`; the
+//! fixture limits module (`l9_limits.rs`) declares only the first, so
+//! the `MAX_NAMES` guard must fail the anchor check.
 
 use crate::limits::{MAX_NAMES, MAX_RECORDS};
 

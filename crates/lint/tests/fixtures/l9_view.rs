@@ -1,5 +1,6 @@
-//! L9 fixture, borrowed half: enforces `MAX_RECORDS` and `MAX_EXE_LEN`
-//! but never `MAX_NAMES` — drifted from its owned twin `l9_mdf.rs`.
+//! L9 fixture parser: enforces `MAX_RECORDS` and `MAX_EXE_LEN`; the
+//! fixture limits module (`l9_limits.rs`) declares only the first, so
+//! the `MAX_EXE_LEN` guard must fail the anchor check.
 
 use crate::limits::{MAX_EXE_LEN, MAX_RECORDS};
 

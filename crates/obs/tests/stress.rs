@@ -12,7 +12,7 @@
 use mosaic_obs::trace::{Span, SpanOutcome, TraceTimeline, Tracer, EXEMPLARS_PER_STAGE};
 use mosaic_obs::Stage;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Writer threads, spans per writer, and the (deliberately small, so the
 /// ring wraps dozens of times) slot capacity.
@@ -79,12 +79,21 @@ fn check_snapshot(snap: &TraceTimeline) {
 fn concurrent_writers_and_reader_never_corrupt_the_ring() {
     let tracer = Tracer::new(CAPACITY);
     let writers_done = AtomicBool::new(false);
+    // Writers park at their midpoint until the reader has taken one
+    // snapshot, so at least one snapshot is always taken while every writer
+    // is live.
+    let snapshots = AtomicU64::new(0);
     let snapshots_taken = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..WRITERS)
             .map(|w| {
-                let tracer = &tracer;
+                let (tracer, snapshots) = (&tracer, &snapshots);
                 scope.spawn(move || {
                     for i in 0..SPANS_PER_WRITER {
+                        if i == SPANS_PER_WRITER / 2 {
+                            while snapshots.load(Ordering::Acquire) == 0 {
+                                std::thread::yield_now();
+                            }
+                        }
                         tracer.record(span_for(w * TRACE_BASE + i, w));
                     }
                 })
@@ -93,8 +102,12 @@ fn concurrent_writers_and_reader_never_corrupt_the_ring() {
         let reader = scope.spawn(|| {
             let mut taken = 0u64;
             while !writers_done.load(Ordering::Acquire) {
-                check_snapshot(&tracer.snapshot());
+                let snap = tracer.snapshot();
                 taken += 1;
+                // Release parked writers before checking, so a failing
+                // check fails the test instead of hanging it.
+                snapshots.store(taken, Ordering::Release);
+                check_snapshot(&snap);
             }
             taken
         });

@@ -7,7 +7,7 @@ use mosaic_core::category::Category;
 use mosaic_core::report::CategoryCounts;
 use mosaic_core::{Categorizer, CategorizerConfig, JaccardMatrix, TraceReport};
 use mosaic_darshan::convert::usize_to_u64;
-use mosaic_darshan::{mdf, validate, EvictClass, EvictReason, TraceLog};
+use mosaic_darshan::{validate, EvictClass, EvictReason};
 use mosaic_obs::{
     MetricsReport, MetricsSnapshot, PipelineMetrics, Recorder, Span, SpanOutcome, Stage,
     TraceTimeline,
@@ -24,25 +24,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// without any extra bookkeeping on the hot path.
 pub type ProgressFn = Arc<dyn Fn(usize, usize, &Recorder) + Send + Sync>;
 
-/// How byte-fed traces are parsed and carried through the funnel.
-///
-/// Both modes produce byte-identical [`PipelineResult`]s (the
-/// `zerocopy-vs-owned` differential oracle pins this); they differ only in
-/// allocation behaviour. Log-fed inputs ([`TraceInput::Log`]) always take
-/// the owned path — there are no wire bytes to borrow from.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ParseMode {
-    /// Borrowed [`mosaic_darshan::TraceView`] over the wire bytes plus a
-    /// per-thread columnar arena: no per-record materialization, no
-    /// per-trace interval vectors. The default.
-    #[default]
-    ZeroCopy,
-    /// Decode into an owned [`TraceLog`] ([`mdf::from_bytes`]) and
-    /// categorize through row-oriented `Vec<Operation>`s — the reference
-    /// implementation, kept as the differential baseline.
-    Owned,
-}
-
 /// Executor configuration.
 #[derive(Clone, Default)]
 pub struct PipelineConfig {
@@ -58,8 +39,6 @@ pub struct PipelineConfig {
     /// [`TraceTimeline`] to the [`PipelineResult`]. `None` (the default)
     /// keeps the aggregate metrics only — zero extra allocation per trace.
     pub trace_capacity: Option<usize>,
-    /// Parse/carry strategy for byte-fed traces; see [`ParseMode`].
-    pub parse_mode: ParseMode,
     /// Unified metrics registry: `true` attaches a
     /// [`mosaic_obs::PipelineMetrics`] (gauges, eviction-by-reason
     /// counters, per-worker utilization) and exports a
@@ -76,7 +55,6 @@ impl std::fmt::Debug for PipelineConfig {
             .field("categorizer", &self.categorizer)
             .field("progress", &self.progress.is_some())
             .field("trace_capacity", &self.trace_capacity)
-            .field("parse_mode", &self.parse_mode)
             .field("metrics", &self.metrics)
             .finish()
     }
@@ -255,17 +233,16 @@ thread_local! {
         std::cell::RefCell::new(mosaic_core::columnar::TraceArena::default());
 }
 
-/// The zero-copy ingest path: borrowed parse, borrowed validation, columnar
-/// extraction into the worker's arena, arena categorization. Stage spans
-/// mirror the owned path one-for-one (same stages, same outcomes).
+/// The byte-fed ingest path: borrowed parse, borrowed validation, columnar
+/// extraction into the worker's arena, arena categorization.
 fn ingest_zero_copy(
     bytes: &[u8],
     index: usize,
     categorizer: &Categorizer,
     recorder: &Recorder,
     scope: SpanScope<'_>,
-    wire: u64,
 ) -> Ingested {
+    let wire = usize_to_u64(bytes.len());
     let t0 = recorder.now_ns();
     let parsed = mosaic_darshan::TraceView::parse(bytes);
     let dur = recorder.now_ns().saturating_sub(t0);
@@ -328,7 +305,6 @@ pub(crate) fn ingest_one(
     index: usize,
     categorizer: &Categorizer,
     recorder: &Recorder,
-    mode: ParseMode,
 ) -> Ingested {
     let scope = SpanScope::current(recorder, index);
     let input = match fetched {
@@ -341,24 +317,11 @@ pub(crate) fn ingest_one(
             return Ingested::Evicted(EvictReason::IoError);
         }
     };
-    let wire = usize_to_u64(input.wire_len());
-    let log: Arc<TraceLog> = match input {
-        TraceInput::Bytes(bytes) if mode == ParseMode::ZeroCopy => {
-            return ingest_zero_copy(&bytes, index, categorizer, recorder, scope, wire);
-        }
+    // A decoded log has no wire bytes to borrow: it skips the parse stage
+    // and joins the same categorization core after validation.
+    let log = match input {
         TraceInput::Bytes(bytes) => {
-            let t0 = recorder.now_ns();
-            let parsed = mdf::from_bytes(&bytes);
-            let dur = recorder.now_ns().saturating_sub(t0);
-            match parsed {
-                Ok(log) => {
-                    scope.emit(Stage::Parse, t0, dur, wire, SpanOutcome::Ok, None);
-                    Arc::new(log)
-                }
-                Err(err) => {
-                    return scope.evict(Stage::Parse, t0, dur, wire, EvictReason::from(&err))
-                }
-            }
+            return ingest_zero_copy(&bytes, index, categorizer, recorder, scope);
         }
         TraceInput::Log(log) => log,
     };
@@ -461,7 +424,7 @@ pub fn process<S: TraceSource>(source: &S, config: &PipelineConfig) -> PipelineR
                 let wire = fetched.as_ref().map(|f| usize_to_u64(f.wire_len())).unwrap_or(0);
                 let outcome = if fetched.is_ok() { SpanOutcome::Ok } else { SpanOutcome::IoError };
                 scope.emit(Stage::Fetch, t0, dur, wire, outcome, None);
-                let out = ingest_one(fetched, i, &categorizer, &recorder, config.parse_mode);
+                let out = ingest_one(fetched, i, &categorizer, &recorder);
                 if let Some(metrics) = metrics {
                     metrics.inflight().sub(1);
                 }
@@ -509,7 +472,7 @@ mod tests {
     use mosaic_darshan::counter::PosixFCounter as F;
     use mosaic_darshan::job::JobHeader;
     use mosaic_darshan::log::TraceLogBuilder;
-    use mosaic_darshan::ValidityError;
+    use mosaic_darshan::{mdf, TraceLog, ValidityError};
 
     fn log_for(uid: u32, exe: &str, bytes: i64) -> TraceLog {
         let mut b = TraceLogBuilder::new(JobHeader::new(1, uid, 4, 0, 1000).with_exe(exe));
@@ -834,10 +797,13 @@ mod tests {
     }
 
     #[test]
-    fn parse_modes_agree_on_mixed_inputs() {
-        // Valid, corrupt, fatally-invalid, and partially-corrupt byte-fed
-        // traces: both parse modes must produce identical funnels, outcomes,
-        // and representatives — and the same span structure when traced.
+    fn byte_fed_and_log_fed_agree_on_mixed_inputs() {
+        // Valid, garbage, fatally-invalid, partially-corrupt and plain-log
+        // fixtures, fed once all as wire bytes and once as decoded logs
+        // (garbage has no log form and stays bytes): the two front doors
+        // must produce identical funnels, outcomes and representatives, and
+        // the same span structure — minus the parse spans a decoded log
+        // never has.
         let mut partially_bad =
             TraceLogBuilder::new(JobHeader::new(3, 7, 4, 0, 1000).with_exe("/bin/m"));
         let g = partially_bad.begin_record("/good", 0);
@@ -849,28 +815,30 @@ mod tests {
             .setf(F::WriteEndTimestamp, 960.0);
         let bad = partially_bad.begin_record("/bad", 0);
         partially_bad.record_mut(bad).set(C::BytesRead, -5);
-        let inputs: Vec<TraceInput> = vec![
-            TraceInput::bytes(mdf::to_bytes(&log_for(1, "/bin/a", 900 << 20))),
-            TraceInput::bytes(b"garbage".to_vec()),
-            TraceInput::bytes(mdf::to_bytes(
-                &TraceLogBuilder::new(JobHeader::new(1, 1, 4, 5, 5)).finish(),
-            )),
-            TraceInput::bytes(mdf::to_bytes(&partially_bad.finish())),
-            TraceInput::log(log_for(2, "/bin/b", 700 << 20)),
+        let garbage = b"garbage".to_vec();
+        let logs: Vec<Option<TraceLog>> = vec![
+            Some(log_for(1, "/bin/a", 900 << 20)),
+            None,
+            Some(TraceLogBuilder::new(JobHeader::new(1, 1, 4, 5, 5)).finish()),
+            Some(partially_bad.finish()),
+            Some(log_for(2, "/bin/b", 700 << 20)),
         ];
-        let zc_cfg = PipelineConfig { trace_capacity: Some(256), ..Default::default() };
-        assert_eq!(zc_cfg.parse_mode, ParseMode::ZeroCopy, "zero-copy must be the default");
-        let owned_cfg = PipelineConfig {
-            parse_mode: ParseMode::Owned,
-            trace_capacity: Some(256),
-            ..zc_cfg.clone()
-        };
-        let zc = process(&VecSource::new(inputs.clone()), &zc_cfg);
-        let owned = process(&VecSource::new(inputs), &owned_cfg);
-        assert_eq!(zc.funnel, owned.funnel);
-        assert_eq!(zc.outcomes, owned.outcomes);
-        assert_eq!(zc.representatives, owned.representatives);
-        assert_eq!(zc.outcomes[1].sanitized_records, 1, "partial corruption sanitized");
+        let byte_fed: Vec<TraceInput> = logs
+            .iter()
+            .map(|l| TraceInput::bytes(l.as_ref().map_or(garbage.clone(), mdf::to_bytes)))
+            .collect();
+        let log_fed: Vec<TraceInput> = logs
+            .iter()
+            .map(|l| l.clone().map_or(TraceInput::bytes(garbage.clone()), TraceInput::log))
+            .collect();
+        let cfg = PipelineConfig { trace_capacity: Some(256), ..Default::default() };
+        let bytes = process(&VecSource::new(byte_fed), &cfg);
+        let logs_result = process(&VecSource::new(log_fed), &cfg);
+        assert_eq!(bytes.funnel, logs_result.funnel);
+        assert_eq!(bytes.outcomes, logs_result.outcomes);
+        assert_eq!(bytes.representatives, logs_result.representatives);
+        assert_eq!(bytes.outcomes.len(), 3);
+        assert_eq!(bytes.outcomes[1].sanitized_records, 1, "partial corruption sanitized");
         let spans = |r: &PipelineResult| {
             let t = r.timeline.as_ref().expect("traced");
             t.events
@@ -878,7 +846,12 @@ mod tests {
                 .map(|e| (e.trace, format!("{:?}", e.stage), format!("{:?}", e.outcome)))
                 .collect::<BTreeSet<_>>()
         };
-        assert_eq!(spans(&zc), spans(&owned), "span structure must match stage-for-stage");
+        // Only trace 1 (garbage) reaches the parse stage on the log-fed run.
+        let expected: BTreeSet<_> = spans(&bytes)
+            .into_iter()
+            .filter(|(trace, stage, _)| *trace == 1 || stage != "Parse")
+            .collect();
+        assert_eq!(spans(&logs_result), expected, "span structure must match stage-for-stage");
     }
 
     #[test]

@@ -127,13 +127,7 @@ impl IncrementalAnalyzer {
     pub fn ingest_fetched(&mut self, fetched: std::io::Result<TraceInput>) -> Option<TraceReport> {
         let index = self.funnel.total;
         self.funnel.total += 1;
-        let outcome = match ingest_one(
-            fetched,
-            index,
-            &self.categorizer,
-            &self.recorder,
-            crate::executor::ParseMode::default(),
-        ) {
+        let outcome = match ingest_one(fetched, index, &self.categorizer, &self.recorder) {
             Ingested::Evicted(reason) => {
                 self.funnel.record_eviction(reason);
                 self.offer_window();

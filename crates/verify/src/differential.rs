@@ -12,23 +12,22 @@
 //!   through the same `ingest_one`, so funnel and both category
 //!   distributions must agree exactly;
 //! * **MDF roundtrip** — `write → parse → re-write` must be byte-stable for
-//!   every parseable trace, and a pipeline fed serialized bytes must answer
-//!   exactly like one fed the decoded logs;
+//!   every parseable trace;
+//! * **log source vs bytes source** — a pipeline fed serialized bytes (the
+//!   borrowed-view/columnar ingest) must answer exactly like one fed the
+//!   decoded logs (validate, delete, row extraction): per corpus, and once
+//!   over a 2 000-trace mixed-corruption synthetic sweep;
 //! * **traced vs untraced** — a run with structured span tracing enabled
 //!   must snapshot byte-identically to one without: the timeline is
 //!   observability, never part of the answer;
 //! * **metrics on vs off** — a run with the metrics registry enabled must
 //!   snapshot byte-identically to one without, and must actually attach a
 //!   registry export: gauges, sketches, and eviction counters are
-//!   telemetry, never part of the answer;
-//! * **zero-copy vs owned** — the borrowed-view/columnar parse mode against
-//!   the owned reference path, over the same wire bytes: per corpus, and
-//!   once over a 2 000-trace mixed-corruption synthetic sweep. The hot-path
-//!   rewrite may not move the answer by a byte.
+//!   telemetry, never part of the answer.
 
 use crate::VerifyReport;
 use mosaic_darshan::mdf;
-use mosaic_pipeline::executor::{process, ParseMode, PipelineConfig};
+use mosaic_pipeline::executor::{process, PipelineConfig};
 use mosaic_pipeline::source::{TraceInput, VecSource};
 use mosaic_pipeline::{IncrementalAnalyzer, ResultSnapshot};
 use mosaic_synth::{Dataset, DatasetConfig, MiniCorpus, Payload};
@@ -192,41 +191,40 @@ pub fn run(report: &mut VerifyReport) {
         let byte_inputs: Vec<TraceInput> =
             (0..corpus.len()).map(|i| TraceInput::bytes(corpus.mdf_bytes(i))).collect();
         let from_bytes =
-            ResultSnapshot::of(&process(&VecSource::new(byte_inputs.clone()), &config(Some(2))));
+            ResultSnapshot::of(&process(&VecSource::new(byte_inputs), &config(Some(2))));
         compare(
             report,
             format!("differential/log-source-vs-bytes-source/{}", corpus.name()),
             &serial,
             &from_bytes,
         );
-
-        // Zero-copy vs owned parse mode over the same wire bytes: the
-        // borrowed-view/columnar hot path against the reference owned path.
-        let owned_config = PipelineConfig { parse_mode: ParseMode::Owned, ..config(Some(2)) };
-        let from_owned = ResultSnapshot::of(&process(&VecSource::new(byte_inputs), &owned_config));
-        compare(
-            report,
-            format!("differential/zerocopy-vs-owned/{}", corpus.name()),
-            &from_bytes,
-            &from_owned,
-        );
     }
 
-    // Zero-copy vs owned over a 2 000-trace synthetic sweep (mixed
-    // corruption), byte-fed through both parse modes — the at-scale pin the
-    // mini-corpora cannot give.
+    // The same comparison over a 2 000-trace synthetic sweep (mixed
+    // corruption) — the at-scale pin the mini-corpora cannot give. Decoded
+    // traces (valid or semantically corrupt) go in as logs on one side and
+    // as wire bytes on the other, so `validate` vs `validate_view` and
+    // `OperationView::from_log` vs `ColumnarTrace::load` must agree on every
+    // one of them; format-corrupt bytes are bytes on both sides.
     let sweep =
         Dataset::new(DatasetConfig { n_traces: 2000, corruption_rate: 0.32, seed: 0xC011A9E });
-    let sweep_inputs: Vec<TraceInput> = (0..sweep.len())
+    let (log_fed, byte_fed): (Vec<TraceInput>, Vec<TraceInput>) = (0..sweep.len())
         .map(|i| match sweep.generate(i).payload {
-            Payload::Log(log) => TraceInput::bytes(mdf::to_bytes(&log)),
-            Payload::Bytes(bytes) => TraceInput::bytes(bytes),
+            Payload::Log(log) => {
+                let bytes = mdf::to_bytes(&log);
+                (TraceInput::log(log), TraceInput::bytes(bytes))
+            }
+            Payload::Bytes(bytes) => (TraceInput::bytes(bytes.clone()), TraceInput::bytes(bytes)),
         })
-        .collect();
-    let zc = ResultSnapshot::of(&process(&VecSource::new(sweep_inputs.clone()), &config(Some(2))));
-    let owned_config = PipelineConfig { parse_mode: ParseMode::Owned, ..config(Some(2)) };
-    let owned = ResultSnapshot::of(&process(&VecSource::new(sweep_inputs), &owned_config));
-    compare(report, "differential/zerocopy-vs-owned/synthetic-2k".to_owned(), &zc, &owned);
+        .unzip();
+    let logs = ResultSnapshot::of(&process(&VecSource::new(log_fed), &config(Some(2))));
+    let bytes = ResultSnapshot::of(&process(&VecSource::new(byte_fed), &config(Some(2))));
+    compare(
+        report,
+        "differential/log-source-vs-bytes-source/synthetic-2k".to_owned(),
+        &logs,
+        &bytes,
+    );
 }
 
 #[cfg(test)]
@@ -238,11 +236,10 @@ mod tests {
         let mut report = VerifyReport::default();
         run(&mut report);
         assert!(report.passed(), "{}", report.render());
-        // 9 checks per corpus (3 pool comparisons, incremental, roundtrip,
-        // traced-vs-untraced, metrics-on-vs-off, bytes-source,
-        // zerocopy-vs-owned) × 3 corpora, plus the 2k-sweep
-        // zerocopy-vs-owned check.
-        assert_eq!(report.checks.len(), 28);
+        // 8 checks per corpus (3 pool comparisons, incremental, roundtrip,
+        // traced-vs-untraced, metrics-on-vs-off, bytes-source) × 3 corpora,
+        // plus the 2k-sweep bytes-source check.
+        assert_eq!(report.checks.len(), 25);
     }
 
     #[test]

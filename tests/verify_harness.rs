@@ -31,9 +31,9 @@ fn full_harness_is_green_on_fresh_checkout() {
     // invariant, and the committed golden snapshots.
     let report = run(&VerifyOptions::default());
     assert!(report.passed(), "{}", report.render());
-    // 9 differential + 5 metamorphic + 1 golden check per corpus × 3, plus
-    // the 2k-sweep zerocopy-vs-owned differential check.
-    assert_eq!(report.checks.len(), 46, "{}", report.render());
+    // 8 differential + 5 metamorphic + 1 golden check per corpus × 3, plus
+    // the 2k-sweep log-source-vs-bytes-source differential check.
+    assert_eq!(report.checks.len(), 43, "{}", report.render());
 }
 
 #[test]
