@@ -7,6 +7,7 @@ use mosaic_darshan::counter::PosixCounter as C;
 use mosaic_darshan::counter::PosixFCounter as F;
 use mosaic_darshan::job::JobHeader;
 use mosaic_darshan::log::TraceLogBuilder;
+use mosaic_darshan::synthutil::Crc32;
 use mosaic_darshan::view::{validate_view, TraceView};
 use mosaic_darshan::{mdf, text, validate};
 use std::hint::black_box;
@@ -59,5 +60,20 @@ fn bench_parse(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_parse);
+/// The MDF/MDX checksum kernel alone: every byte-fed trace is checksummed
+/// in full before it is decoded. 2.5 KB is the median `year_mix` trace,
+/// 300 KB a large one.
+fn bench_crc32(c: &mut Criterion) {
+    let mut group = c.benchmark_group("crc32");
+    for (tag, len) in [("2.5KB", 2_500usize), ("300KB", 300_000)] {
+        let data: Vec<u8> = (0..len).map(|i| (i.wrapping_mul(131) >> 3) as u8).collect();
+        group.throughput(Throughput::Bytes(len as u64));
+        group.bench_with_input(BenchmarkId::new("checksum", tag), &data, |b, data| {
+            b.iter(|| Crc32::checksum(black_box(data)))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_parse, bench_crc32);
 criterion_main!(benches);

@@ -465,6 +465,31 @@ mod tests {
     }
 
     #[test]
+    fn flipped_record_bit_reports_the_reference_checksum() {
+        // Two records, so the flip lands mid-array; the checksummed payload
+        // is not a whole number of 16-byte blocks.
+        let slab = slab_trace();
+        let mut records = slab.records().to_vec();
+        let mut second = records[0].clone();
+        second.record_id = crate::synthutil::record_id("/out.1");
+        second.rank = 1;
+        records.push(second);
+        let mut names = slab.names().clone();
+        names.insert(crate::synthutil::record_id("/out.1"), "/out.1".to_owned());
+        let trace = DxtTrace::from_parts(slab.header().clone(), records, names);
+        let bytes = to_bytes(&trace);
+        let n = bytes.len();
+        assert_ne!((n - 4) % 16, 0, "payload must leave a partial block");
+        let records_off = 8 + 2 + 2 + 8 + 4 + 4 + 8 + 8 + 4 + trace.header().exe.len() + 4;
+        let mut flipped = bytes.clone();
+        flipped[records_off + 40] ^= 0x01;
+        let expected = u32::from_le_bytes([bytes[n - 4], bytes[n - 3], bytes[n - 2], bytes[n - 1]]);
+        let actual = crate::synthutil::reference_crc32(&flipped[..n - 4]);
+        assert_ne!(expected, actual);
+        assert_eq!(from_bytes(&flipped), Err(FormatError::ChecksumMismatch { expected, actual }));
+    }
+
+    #[test]
     fn empty_trace_roundtrips() {
         let trace =
             DxtTrace::from_parts(JobHeader::new(1, 1, 1, 0, 10), Vec::new(), BTreeMap::new());

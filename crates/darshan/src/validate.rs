@@ -18,6 +18,7 @@ use crate::counter::{PosixCounter as C, PosixFCounter as F};
 use crate::error::{EvictReason, ValidityError};
 use crate::log::TraceLog;
 use crate::record::{PosixRecord, SHARED_RANK};
+use std::borrow::Borrow;
 
 /// Tolerance for timestamps slightly beyond the (integer-second) job
 /// runtime: Darshan's job times are whole seconds while record timestamps
@@ -80,8 +81,8 @@ pub fn check_header(log: &TraceLog) -> Vec<ValidityError> {
 }
 
 /// Header invariants on bare fields — the shared core of [`check_header`]
-/// and the borrowed-view validation ([`crate::view::validate_view`]), so
-/// both paths apply the same rules in the same order.
+/// and the validity pass both [`validate`] and
+/// [`crate::view::validate_view`] run.
 pub fn check_header_fields(runtime: f64, nprocs: u32) -> Vec<ValidityError> {
     let mut errs = Vec::new();
     if runtime <= 0.0 {
@@ -132,20 +133,38 @@ impl ValidityReport {
 
 /// Validate a decoded trace.
 pub fn validate(log: &TraceLog) -> ValidityReport {
-    let runtime = log.header().runtime();
-    let nprocs = log.header().nprocs;
-    let header_errors = check_header(log);
+    let header = log.header();
+    validate_records(header.runtime(), header.nprocs, log.records().iter(), |id| {
+        log.names().contains_key(&id)
+    })
+}
+
+/// The validity pass behind both [`validate`] and
+/// [`crate::view::validate_view`]: header rules on `(runtime, nprocs)`, then
+/// every record's rules plus its name-table entry (`has_name`). Generic over
+/// how a record is held — borrowed from a log or decoded from wire bytes —
+/// so each caller gets its own monomorphised loop.
+pub(crate) fn validate_records<R: Borrow<PosixRecord>>(
+    runtime: f64,
+    nprocs: u32,
+    records: impl Iterator<Item = R>,
+    has_name: impl Fn(u64) -> bool,
+) -> ValidityReport {
+    let header_errors = check_header_fields(runtime, nprocs);
     let mut record_errors = Vec::new();
-    for (i, rec) in log.records().iter().enumerate() {
+    let mut records_checked = 0;
+    for (i, rec) in records.enumerate() {
+        let rec = rec.borrow();
         let mut errs = check_record(rec, runtime, nprocs);
-        if !log.names().contains_key(&rec.record_id) {
+        if !has_name(rec.record_id) {
             errs.push(ValidityError::MissingName);
         }
         if !errs.is_empty() {
             record_errors.push((i, errs));
         }
+        records_checked += 1;
     }
-    ValidityReport { header_errors, record_errors, records_checked: log.records().len() }
+    ValidityReport { header_errors, record_errors, records_checked }
 }
 
 /// Delete the records `report` flagged invalid, in place. Returns the number

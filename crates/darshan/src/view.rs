@@ -29,8 +29,7 @@ use crate::log::TraceLog;
 use crate::mdf::{MAGIC, RECORD_WIRE_BYTES, VERSION};
 use crate::record::{PosixRecord, SHARED_RANK};
 use crate::synthutil::Crc32;
-use crate::validate::{check_header_fields, check_record, ValidityReport};
-use crate::ValidityError;
+use crate::validate::{validate_records, ValidityReport};
 use std::collections::BTreeMap;
 
 /// Byte offset of the counter array inside one wire record.
@@ -466,25 +465,12 @@ impl<'a> TraceView<'a> {
     }
 }
 
-/// Validate a borrowed trace, mirroring [`crate::validate::validate`] rule
-/// for rule: header invariants, per-record checks in record order, and the
-/// name-table membership check appended after the record rules.
+/// Validate a borrowed trace: the same validity pass as
+/// [`crate::validate::validate`], run on records decoded from the wire.
 pub fn validate_view(view: &TraceView<'_>) -> ValidityReport {
-    let runtime = view.runtime();
-    let nprocs = view.nprocs;
-    let header_errors = check_header_fields(runtime, nprocs);
-    let mut record_errors = Vec::new();
-    for (i, rec) in view.records().enumerate() {
-        let decoded = rec.decode();
-        let mut errs = check_record(&decoded, runtime, nprocs);
-        if !view.has_name(decoded.record_id) {
-            errs.push(ValidityError::MissingName);
-        }
-        if !errs.is_empty() {
-            record_errors.push((i, errs));
-        }
-    }
-    ValidityReport { header_errors, record_errors, records_checked: view.n_records() }
+    validate_records(view.runtime(), view.nprocs, view.records().map(|rec| rec.decode()), |id| {
+        view.has_name(id)
+    })
 }
 
 #[cfg(test)]
@@ -495,6 +481,7 @@ mod tests {
     use crate::log::TraceLogBuilder;
     use crate::mdf;
     use crate::validate;
+    use crate::ValidityError;
 
     fn sample() -> TraceLog {
         let mut b = TraceLogBuilder::new(
@@ -557,6 +544,31 @@ mod tests {
             corrupt[pos] ^= 0x20;
             assert!(TraceView::parse(&corrupt).is_err(), "flip at {pos}");
         }
+    }
+
+    #[test]
+    fn flipped_record_bit_reports_the_reference_checksum() {
+        // A multi-record trace whose checksummed payload is not a whole
+        // number of 16-byte blocks, so the sliced CRC's bytewise tail runs.
+        let mut b = TraceLogBuilder::new(JobHeader::new(7, 1, 8, 0, 100).with_exe("/bin/app"));
+        for i in 0..3 {
+            let r = b.begin_record(&format!("/data/in.{i}"), i);
+            b.record_mut(r).set(C::Opens, 1).set(C::Reads, 4).set(C::BytesRead, 4096);
+        }
+        let log = b.finish();
+        let bytes = mdf::to_bytes(&log);
+        let n = bytes.len();
+        assert_ne!((n - 4) % 16, 0, "payload must leave a partial block");
+        let records_off = 8 + 2 + 2 + 8 + 4 + 4 + 8 + 8 + 4 + log.header().exe.len() + 4;
+        let mut flipped = bytes.clone();
+        flipped[records_off + 2 * RECORD_WIRE_BYTES + 21] ^= 0x08;
+        let expected = u32::from_le_bytes([bytes[n - 4], bytes[n - 3], bytes[n - 2], bytes[n - 1]]);
+        let actual = crate::synthutil::reference_crc32(&flipped[..n - 4]);
+        assert_ne!(expected, actual);
+        assert_eq!(
+            TraceView::parse(&flipped).map(|_| ()),
+            Err(FormatError::ChecksumMismatch { expected, actual })
+        );
     }
 
     #[test]
